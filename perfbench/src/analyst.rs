@@ -165,6 +165,9 @@ pub fn run(args: &Args) -> RunOut {
     let mut resident = Vec::new();
     let mut segments = Vec::new();
     let start = Instant::now();
+    // From the first timed request to the end of the run (the traced
+    // replay included), no CPU halts between requests.
+    let _keepalive = crate::layers::Keepalive::start();
     let mut rotation = 0;
     // Whole rotations only, so every run measures the same mix of datasets.
     while rotation == 0 || start.elapsed().as_secs_f64() < args.seconds {

@@ -83,7 +83,7 @@ pub fn report_traffic(out: &mut RunOut, stats: &mut GenStats) {
         out.report.put(format!("{name}.samples"), n as f64, "count");
         out.report.put(format!("{name}.all_p50_us"), all_p50, "us");
         out.report.put(format!("{name}.all_p99_us"), all_p99, "us");
-        let due = &mut stats.due[usize::from(answer)];
+        let due = &stats.due[usize::from(answer)];
         out.report
             .put(format!("{name}.due_p50_us"), due.median(), "us");
         out.report
@@ -94,12 +94,12 @@ pub fn report_traffic(out: &mut RunOut, stats: &mut GenStats) {
     out.report
         .put("gen.lateness_us_p50", stats.lateness.median(), "us");
     out.report
-        .put("sessions.completed", stats.completed.len() as f64, "count");
+        .put("sessions.completed", stats.completions as f64, "count");
     out.report
         .put("sessions.checked", stats.checked as f64, "count");
     out.report
         .put("sessions.unchecked", stats.unchecked as f64, "count");
-    out.require(!stats.completed.is_empty(), || {
+    out.require(stats.completions > 0, || {
         "no session reached its inferred predicate".into()
     });
     for wrong in stats.wrong.iter().take(4) {

@@ -7,10 +7,10 @@ use crate::common::{
     report_traffic, report_universes, Args, RunOut, SetupTimes, UniverseShape,
 };
 use crate::gen::{interactions_mean, GenStats, Pool, Shared};
-use crate::layers::{sleep_until, tighten_timer_slack};
+use crate::layers::{sleep_until, tighten_timer_slack, Keepalive};
 use crate::ops::{oracle_label, Ctx, HttpTransport, Plan, Tenant};
 use crate::stack::{mix, Stack};
-use crate::stats::{ms_since, secs_since, Samples};
+use crate::stats::{ms_since, secs_since, Hist, Samples};
 use crate::trace::{replay, Segment};
 use jqi_core::{OwnedSession, StrategyConfig, Universe};
 use jqi_datagen::{TpchJoin, TpchScale, TpchTables};
@@ -24,10 +24,12 @@ const POOL: usize = 500;
 /// Goals in the skewed pool crowd workers draw from.
 const GOALS: usize = 48;
 /// Set-ups per run (`setup_s` is their median). Each but the last (the
-/// one the run keeps) loads a table pair from a seed derived from the
-/// run's: the warm-up's work depends on the data's goal lattice, and one
-/// seed's data would set the figure.
-const SETUPS: usize = 5;
+/// one the run keeps, from the run's seed) loads a table pair of a fixed
+/// panel, the same in every run: the warm-up's work depends on the
+/// data's goal lattice — from one table pair to the next it took 0.1 to
+/// 0.5 s — so a panel drawn from the run's seed set the figure more than
+/// the program did.
+const SETUPS: usize = 7;
 /// Table pairs (one per derived seed) whose builds `build_ms` is the
 /// median of, so one seed's data does not set the figure. Each build
 /// starts after a short pause.
@@ -48,6 +50,9 @@ const RUNG_LATENESS_GROWTH_US: f64 = 200.0;
 /// reported quantiles are medians over windows, so a stall of the shared
 /// host inside a few windows does not set a run's figure.
 const WINDOW_SECONDS: f64 = 0.1;
+/// Share of `--seconds` spent in the closed-loop reference phase (the
+/// reported latencies); the rate ladder gets the rest.
+const REFERENCE_SHARE: f64 = 0.7;
 /// Operations of the reference phase replayed by the traced run.
 const TRACE_OPS: usize = 20_000;
 
@@ -216,19 +221,6 @@ fn phase(pools: &mut [Pool], shared: &Shared, rate: Option<f64>, seconds: f64) -
         .collect()
 }
 
-/// How much later the generator ran in the last third of a phase than
-/// in the first (µs): a growing backlog means the offered rate is more
-/// than the system absorbs.
-fn lateness_growth(lateness: &Samples) -> f64 {
-    let v = lateness.values();
-    let third = v.len() / 3;
-    if third == 0 {
-        return 0.0;
-    }
-    let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
-    mean(&v[v.len() - third..]) - mean(&v[..third])
-}
-
 pub fn run(args: &Args) -> RunOut {
     let mut out = RunOut::default();
     let mut setups = Vec::new();
@@ -238,7 +230,7 @@ pub fn run(args: &Args) -> RunOut {
         let seed = if i + 1 == SETUPS {
             args.seed
         } else {
-            mix(args.seed ^ mix(1000 + i as u64))
+            mix(1000 + i as u64)
         };
         let (e, times) = setup(args, seed);
         setups.push(times);
@@ -286,12 +278,15 @@ pub fn run(args: &Args) -> RunOut {
         .collect();
 
     let cache_before = env.universe.decision_cache_stats();
+    // From the first timed request to the end of the run (the traced
+    // replay included), no CPU halts between requests.
+    let _keepalive = Keepalive::start();
     // Reference phase: the reported latencies, in a closed loop over
     // both connections. In an open loop the 2-vCPU host parks its vCPUs
     // between requests, and waking them costs more, and varies more from
     // run to run, than the program's own work (see the README).
     let mut reference = GenStats::default();
-    for s in phase(&mut pools, &shared, None, args.seconds * 0.5) {
+    for s in phase(&mut pools, &shared, None, args.seconds * REFERENCE_SHARE) {
         reference.merge(s);
     }
     for pool in pools.iter_mut() {
@@ -302,17 +297,17 @@ pub fn run(args: &Args) -> RunOut {
     let recorded = std::mem::take(&mut reference.recorded);
 
     // Ladder: climb until a rung misses its limits.
-    let rung_seconds = args.seconds * 0.5 / LADDER_RPS.len() as f64;
+    let rung_seconds = args.seconds * (1.0 - REFERENCE_SHARE) / LADDER_RPS.len() as f64;
     let mut max_rate = 0.0;
-    let mut ladder_lateness = Samples::new();
+    let mut ladder_lateness = Hist::new();
     for rate in LADDER_RPS {
         let mut rung = GenStats::default();
         let mut growth = 0.0f64;
         for s in phase(&mut pools, &shared, Some(rate), rung_seconds) {
-            growth = growth.max(lateness_growth(&s.lateness));
+            growth = growth.max(s.lateness_growth());
             rung.merge(s);
         }
-        ladder_lateness.extend(&rung.lateness);
+        ladder_lateness.merge(&rung.lateness);
         let p99 = rung.due[0].p99();
         let failed = rung.failed as f64 / rung.attempted.max(1) as f64;
         out.report

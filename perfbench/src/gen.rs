@@ -5,7 +5,7 @@ use crate::ops::{
     selects_goal, Completed, Ctx, Failure, HttpTransport, JsonTarget, Op, OpKind, Outcome, Plan,
     Recorded, SessionRun, Target, Tenant,
 };
-use crate::stats::Samples;
+use crate::stats::{Hist, Samples};
 use jqi_core::Universe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -69,28 +69,39 @@ impl Shared {
 /// Fewer samples than this and a window does not count.
 const MIN_WINDOW_SAMPLES: usize = 50;
 
-/// What one generator thread measured.
+/// What one generator thread measured. Per-operation figures go to
+/// fixed-size histograms and per-window summaries, so the bookkeeping
+/// takes the same memory however many operations a run makes.
 #[derive(Debug, Default)]
 pub struct GenStats {
     /// Latency per op kind (µs, from when the op was sent).
-    pub latency: [Samples; 7],
+    pub latency: [Hist; 7],
     /// Question and answer latencies (µs) from when they were due —
     /// what an open loop's user waits, queueing behind stalls included.
-    pub due: [Samples; 2],
-    /// Question and answer latencies from when they were sent, split by
-    /// measurement window.
-    windows: Vec<[Samples; 2]>,
+    pub due: [Hist; 2],
+    /// Question and answer latencies (µs, from send) of the measurement
+    /// window being filled, and that window's index.
+    open: [Samples; 2],
+    open_window: usize,
+    /// `(p50, p99)` of each closed window that had enough samples, for
+    /// questions and answers.
+    closed: [Vec<(f64, f64)>; 2],
     /// The window closed-loop ops land in.
     pub window: usize,
     /// How late each op was sent (µs).
-    pub lateness: Samples,
+    pub lateness: Hist,
+    /// Summed lateness (µs) and op count per window, in window order.
+    lateness_by_window: Vec<(f64, u64)>,
     pub attempted: u64,
     pub failed: u64,
     pub failures: Vec<String>,
-    /// `(session key, interactions)` of completed sessions.
+    /// Sessions that reached their inferred predicate.
+    pub completions: u64,
+    /// `(session key, interactions)` of the completed sessions whose
+    /// effort `interactions_mean` averages (a pool's first sessions).
     pub completed: Vec<(usize, usize)>,
     /// Create → inferred predicate wall time of completed sessions (ms).
-    pub session_ms: Samples,
+    pub session_ms: Hist,
     pub checked: u64,
     pub unchecked: u64,
     pub wrong: Vec<String>,
@@ -104,6 +115,7 @@ impl GenStats {
         self.attempted += other.attempted;
         self.failed += other.failed;
         self.failures.extend(other.failures);
+        self.completions += other.completions;
         self.completed.extend(other.completed);
         self.checked += other.checked;
         self.unchecked += other.unchecked;
@@ -111,21 +123,18 @@ impl GenStats {
     }
 
     pub fn merge(&mut self, mut other: GenStats) {
+        other.close_window();
         for (a, b) in self.latency.iter_mut().zip(other.latency.iter()) {
-            a.extend(b);
+            a.merge(b);
         }
         for (a, b) in self.due.iter_mut().zip(other.due.iter()) {
-            a.extend(b);
+            a.merge(b);
         }
-        for (w, pair) in other.windows.iter().enumerate() {
-            if self.windows.len() <= w {
-                self.windows.resize_with(w + 1, Default::default);
-            }
-            self.windows[w][0].extend(&pair[0]);
-            self.windows[w][1].extend(&pair[1]);
+        for (a, b) in self.closed.iter_mut().zip(other.closed.iter()) {
+            a.extend_from_slice(b);
         }
-        self.lateness.extend(&other.lateness);
-        self.session_ms.extend(&other.session_ms);
+        self.lateness.merge(&other.lateness);
+        self.session_ms.merge(&other.session_ms);
         self.recorded.append(&mut other.recorded);
         self.merge_untimed(other);
     }
@@ -143,12 +152,40 @@ impl GenStats {
         }
     }
 
-    pub fn latency(&mut self, kind: OpKind) -> &mut Samples {
+    pub fn latency(&mut self, kind: OpKind) -> &mut Hist {
         &mut self.latency[kind.index()]
     }
 
+    /// Records how late (µs) an op of `window` was sent.
+    pub fn record_lateness(&mut self, late_us: f64, window: usize) {
+        self.lateness.push(late_us);
+        if self.lateness_by_window.len() <= window {
+            self.lateness_by_window.resize(window + 1, (0.0, 0));
+        }
+        let w = &mut self.lateness_by_window[window];
+        w.0 += late_us;
+        w.1 += 1;
+    }
+
+    /// How much later ops were sent in the last third of the windows
+    /// than in the first (µs): a growing backlog means the offered rate
+    /// is more than the system absorbs.
+    pub fn lateness_growth(&self) -> f64 {
+        let w = &self.lateness_by_window;
+        let third = w.len() / 3;
+        if third == 0 {
+            return 0.0;
+        }
+        let mean = |ws: &[(f64, u64)]| {
+            let (sum, n) = ws.iter().fold((0.0, 0), |a, w| (a.0 + w.0, a.1 + w.1));
+            sum / n.max(1) as f64
+        };
+        mean(&w[w.len() - third..]) - mean(&w[..third])
+    }
+
     /// Records one op's latency from send (`sent_us`) and from due
-    /// (`due_us`), in `window`.
+    /// (`due_us`), in `window`. Windows arrive in order; a window's
+    /// quantiles are taken when the next one opens.
     pub fn record_latency(&mut self, kind: OpKind, sent_us: f64, due_us: f64, window: usize) {
         self.latency[kind.index()].push(sent_us);
         let slot = match kind {
@@ -157,25 +194,34 @@ impl GenStats {
             _ => return,
         };
         self.due[slot].push(due_us);
-        if self.windows.len() <= window {
-            self.windows.resize_with(window + 1, Default::default);
+        if window != self.open_window {
+            self.close_window();
+            self.open_window = window;
         }
-        self.windows[window][slot].push(sent_us);
+        self.open[slot].push(sent_us);
+    }
+
+    /// Summarizes the window being filled and empties it.
+    fn close_window(&mut self) {
+        for (open, closed) in self.open.iter_mut().zip(self.closed.iter_mut()) {
+            if open.len() >= MIN_WINDOW_SAMPLES {
+                closed.push((open.median(), open.p99()));
+            }
+            open.clear();
+        }
     }
 
     /// Question (`answer == false`) or answer latency from send as the
     /// median over measurement windows of each window's p50 and p99 — so
     /// a stall of the shared machine in one window does not move the
-    /// run's figure.
+    /// run's figure. Each generator's windows count separately.
     /// Returns `(p50, p99, windows used)`.
     pub fn windowed(&mut self, answer: bool) -> (f64, f64, usize) {
+        self.close_window();
         let (mut p50s, mut p99s) = (Samples::new(), Samples::new());
-        for pair in self.windows.iter_mut() {
-            let w = &mut pair[usize::from(answer)];
-            if w.len() >= MIN_WINDOW_SAMPLES {
-                p50s.push(w.median());
-                p99s.push(w.p99());
-            }
+        for &(p50, p99) in &self.closed[usize::from(answer)] {
+            p50s.push(p50);
+            p99s.push(p99);
         }
         (p50s.median(), p99s.median(), p50s.len())
     }
@@ -212,6 +258,9 @@ pub struct Pool {
     plan_of: Box<dyn FnMut(usize) -> Plan + Send>,
     next_key: usize,
     key_step: usize,
+    /// Keys below this are the pool's first sessions, the ones whose
+    /// effort is kept (`GenStats::completed`).
+    first_keys_end: usize,
     rr: usize,
     /// The run whose answer is due next, if any.
     sticky: Option<usize>,
@@ -249,6 +298,7 @@ impl Pool {
             plan_of,
             next_key: first_key + size * key_step,
             key_step,
+            first_keys_end: first_key + size * key_step,
             rr: 0,
             sticky: None,
             windows: None,
@@ -317,17 +367,17 @@ impl Pool {
         let done = Instant::now();
         let e2 = shared.epoch();
         self.stats.attempted += 1;
-        self.stats
-            .lateness
-            .push(sent.saturating_duration_since(due).as_secs_f64() * 1e6);
+        let window = self.windows.map_or(0, |(start, len)| {
+            (due.saturating_duration_since(start).as_secs_f64() / len.as_secs_f64()) as usize
+        });
+        self.stats.record_lateness(
+            sent.saturating_duration_since(due).as_secs_f64() * 1e6,
+            window,
+        );
         let stable = (e1 == e2 && e1.is_multiple_of(2)).then_some(e1);
         match result {
             Ok((outcome, _)) => {
                 let us = |from: Instant| done.saturating_duration_since(from).as_secs_f64() * 1e6;
-                let window = self.windows.map_or(0, |(start, len)| {
-                    (due.saturating_duration_since(start).as_secs_f64() / len.as_secs_f64())
-                        as usize
-                });
                 self.stats
                     .record_latency(op.kind(), us(sent), us(due), window);
                 if let Outcome::Asked { .. } = outcome {
@@ -350,9 +400,12 @@ impl Pool {
                             .as_secs_f64()
                             * 1e3,
                     );
-                    self.stats
-                        .completed
-                        .push((self.runs[i].s, completed.interactions));
+                    self.stats.completions += 1;
+                    if self.runs[i].s < self.first_keys_end {
+                        self.stats
+                            .completed
+                            .push((self.runs[i].s, completed.interactions));
+                    }
                     self.stats.check(shared, stable, &completed);
                 }
                 true
@@ -425,9 +478,11 @@ pub fn run_closed(
     while !run.finished() {
         let op = run.next_op();
         let sent = Instant::now();
-        stats
-            .lateness
-            .push(sent.saturating_duration_since(due).as_secs_f64() * 1e6);
+        let window = stats.window;
+        stats.record_lateness(
+            sent.saturating_duration_since(due).as_secs_f64() * 1e6,
+            window,
+        );
         let op_id = stats.attempted;
         let result = target.exec(op_id, &op);
         let done = Instant::now();
@@ -435,7 +490,6 @@ pub fn run_closed(
         match result {
             Ok((outcome, _)) => {
                 let us = done.saturating_duration_since(sent).as_secs_f64() * 1e6;
-                let window = stats.window;
                 stats.record_latency(op.kind(), us, us, window);
                 let class = match &outcome {
                     Outcome::Asked { class, .. } => Some(*class),
@@ -450,6 +504,7 @@ pub fn run_closed(
                     stats
                         .session_ms
                         .push(done.saturating_duration_since(created).as_secs_f64() * 1e3);
+                    stats.completions += 1;
                     stats.completed.push((run.s, completed.interactions));
                     stats.check(shared, Some(shared.epoch()), &completed);
                 }

@@ -9,7 +9,7 @@ use jqi_core::{ClassId, DynStrategy, InferenceState, Strategy, StrategyConfig};
 use jqi_net::{Admission, Handler, Pressure, Request, RequestHead, Response};
 use jqi_server::durability::{FileWal, WalStorage};
 use jqi_server::Gateway;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -277,4 +277,69 @@ pub fn sleep_until(due: Instant) {
     if due > now {
         std::thread::sleep(due - now);
     }
+}
+
+/// One spinning thread per CPU at the lowest scheduling priority
+/// (`SCHED_IDLE`) for as long as the guard lives, so no CPU halts
+/// between requests. Any other thread that wakes preempts a spinner at
+/// once. Without them each request also pays for waking halted virtual
+/// CPUs, a cost set by the host's load that drifts from minute to
+/// minute and moved a run's median latency by up to a fifth.
+pub struct Keepalive {
+    stop: Arc<AtomicBool>,
+    threads: Vec<std::thread::JoinHandle<()>>,
+}
+
+impl Keepalive {
+    pub fn start() -> Keepalive {
+        let stop = Arc::new(AtomicBool::new(false));
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let threads = (0..cpus)
+            .map(|_| {
+                let stop = Arc::clone(&stop);
+                std::thread::spawn(move || {
+                    // A spinner at normal priority would compete with the
+                    // workload: without `SCHED_IDLE`, do not spin.
+                    if !lowest_priority() {
+                        return;
+                    }
+                    while !stop.load(Ordering::Relaxed) {
+                        std::hint::spin_loop();
+                    }
+                })
+            })
+            .collect();
+        Keepalive { stop, threads }
+    }
+}
+
+impl Drop for Keepalive {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::Relaxed);
+        for t in self.threads.drain(..) {
+            let _ = t.join();
+        }
+    }
+}
+
+/// Moves the calling thread to `SCHED_IDLE`, where it runs only when no
+/// other thread wants the CPU. Returns whether that succeeded.
+fn lowest_priority() -> bool {
+    #[cfg(target_os = "linux")]
+    {
+        #[repr(C)]
+        struct SchedParam {
+            sched_priority: i32,
+        }
+        extern "C" {
+            fn sched_setscheduler(pid: i32, policy: i32, param: *const SchedParam) -> i32;
+        }
+        const SCHED_IDLE: i32 = 5;
+        let param = SchedParam { sched_priority: 0 };
+        // SAFETY: `param` is a valid `sched_param` for the call's
+        // duration; pid 0 is the calling thread.
+        unsafe { sched_setscheduler(0, SCHED_IDLE, &param) == 0 }
+    }
+    #[cfg(not(target_os = "linux"))]
+    false
 }

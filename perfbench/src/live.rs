@@ -430,6 +430,9 @@ pub fn run(args: &Args) -> RunOut {
         .collect();
     drop(tenant);
 
+    // From the first timed request to the end of the run (the traced
+    // replay included), no CPU halts between requests.
+    let _keepalive = crate::layers::Keepalive::start();
     let mut retired_cache = DecisionCacheStats::default();
     let mut outcomes = Vec::new();
     let mut sweep_ms = Samples::new();
@@ -488,7 +491,7 @@ pub fn run(args: &Args) -> RunOut {
         stats.merge_untimed(rest);
     }
     let final_universe = shared.universe();
-    let mut delta = std::mem::take(stats.latency(OpKind::Delta));
+    let delta = std::mem::take(stats.latency(OpKind::Delta));
     let applied = outcomes.len();
     out.report.put("delta_p50_ms", delta.median() / 1e3, "ms");
     out.report

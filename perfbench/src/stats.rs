@@ -23,21 +23,18 @@ impl Samples {
         self.push(ns as f64 / 1e3);
     }
 
-    pub fn extend(&mut self, other: &Samples) {
-        self.values.extend_from_slice(&other.values);
-        self.sorted = false;
-    }
-
     pub fn len(&self) -> usize {
         self.values.len()
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+    /// Empties the bag, keeping its buffer for reuse.
+    pub fn clear(&mut self) {
+        self.values.clear();
+        self.sorted = false;
     }
 
-    pub fn values(&self) -> &[f64] {
-        &self.values
+    pub fn is_empty(&self) -> bool {
+        self.values.is_empty()
     }
 
     fn sort(&mut self) {
@@ -68,6 +65,109 @@ impl Samples {
         } else {
             self.values.iter().sum::<f64>() / self.values.len() as f64
         }
+    }
+}
+
+/// Sub-buckets per octave of a [`Hist`], as a power of two (128: each
+/// bucket spans about 0.5 % of its value).
+const HIST_SUB_BITS: u32 = 7;
+/// A [`Hist`]'s first octave starts here (µs); smaller values share one
+/// bucket `[0, HIST_MIN)`.
+const HIST_MIN: f64 = 1.0 / 16.0;
+/// Octaves a [`Hist`] covers: up to 2^26 µs (67 s); larger values land
+/// in the last bucket.
+const HIST_OCTAVES: usize = 30;
+const HIST_BUCKETS: usize = 1 + (HIST_OCTAVES << HIST_SUB_BITS);
+
+/// A stream of per-operation measurements (µs or ms) summarized by a
+/// log-linear histogram: quantiles are interpolated within a bucket
+/// about 0.5 % wide. Its memory is fixed — it does not grow with the
+/// number of operations — so a run's own bookkeeping neither moves the
+/// process's peak RSS nor depends on how fast the host ran.
+#[derive(Debug, Clone, Default)]
+pub struct Hist {
+    /// Count per bucket; empty until the first value.
+    counts: Vec<u32>,
+    n: u64,
+}
+
+impl Hist {
+    pub fn new() -> Hist {
+        Hist::default()
+    }
+
+    fn bucket(v: f64) -> usize {
+        if v.is_nan() || v < HIST_MIN {
+            return 0;
+        }
+        let shift = 52 - HIST_SUB_BITS;
+        let i = 1 + ((v.to_bits() - HIST_MIN.to_bits()) >> shift) as usize;
+        i.min(HIST_BUCKETS - 1)
+    }
+
+    /// The bucket's `[lower, upper)` bounds.
+    fn bounds(i: usize) -> (f64, f64) {
+        if i == 0 {
+            return (0.0, HIST_MIN);
+        }
+        let shift = 52 - HIST_SUB_BITS;
+        let at = |k: usize| f64::from_bits(HIST_MIN.to_bits() + ((k as u64) << shift));
+        (at(i - 1), at(i))
+    }
+
+    pub fn push(&mut self, v: f64) {
+        if self.counts.is_empty() {
+            self.counts = vec![0; HIST_BUCKETS];
+        }
+        self.counts[Hist::bucket(v)] += 1;
+        self.n += 1;
+    }
+
+    pub fn merge(&mut self, other: &Hist) {
+        if other.n == 0 {
+            return;
+        }
+        if self.counts.is_empty() {
+            self.counts = vec![0; HIST_BUCKETS];
+        }
+        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+            *a += b;
+        }
+        self.n += other.n;
+    }
+
+    pub fn len(&self) -> u64 {
+        self.n
+    }
+
+    /// The `q`-quantile: the rank `q · (n − 1)` located in its bucket
+    /// and interpolated linearly across the bucket (0 when empty).
+    pub fn quantile(&self, q: f64) -> f64 {
+        if self.n == 0 {
+            return 0.0;
+        }
+        let rank = q.clamp(0.0, 1.0) * (self.n - 1) as f64;
+        let mut before = 0u64;
+        for (i, &c) in self.counts.iter().enumerate() {
+            if c == 0 {
+                continue;
+            }
+            if rank < (before + c as u64) as f64 {
+                let (lo, hi) = Hist::bounds(i);
+                let within = (rank - before as f64 + 0.5) / c as f64;
+                return lo + (hi - lo) * within;
+            }
+            before += c as u64;
+        }
+        Hist::bounds(HIST_BUCKETS - 1).1
+    }
+
+    pub fn median(&self) -> f64 {
+        self.quantile(0.5)
+    }
+
+    pub fn p99(&self) -> f64 {
+        self.quantile(0.99)
     }
 }
 
@@ -242,5 +342,32 @@ mod tests {
         assert_eq!(s.quantile(0.0), 1.0);
         assert_eq!(s.quantile(1.0), 4.0);
         assert_eq!(Samples::new().median(), 0.0);
+    }
+
+    #[test]
+    fn hist_quantiles_stay_within_a_bucket() {
+        let mut h = Hist::new();
+        let mut s = Samples::new();
+        for i in 0..10_000u32 {
+            let v = 20.0 + (i % 977) as f64 * 0.37 + (i % 13) as f64;
+            h.push(v);
+            s.push(v);
+        }
+        for q in [0.01, 0.5, 0.9, 0.99] {
+            let (exact, approx) = (s.quantile(q), h.quantile(q));
+            assert!(
+                (approx - exact).abs() <= exact * 0.006,
+                "{q}: {approx} vs {exact}"
+            );
+        }
+        let mut merged = Hist::new();
+        merged.merge(&h);
+        merged.merge(&Hist::new());
+        assert_eq!(merged.len(), 10_000);
+        assert_eq!(merged.median(), h.median());
+        let mut tiny = Hist::new();
+        tiny.push(0.0);
+        assert!(tiny.median() < HIST_MIN);
+        assert_eq!(Hist::new().p99(), 0.0);
     }
 }
