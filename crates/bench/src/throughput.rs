@@ -63,7 +63,7 @@
 //! The `throughput` binary renders a table and writes `BENCH_server.json`
 //! at the repo root; see the README for the schema.
 
-use crate::json::{Json, ToJson};
+use crate::json::{arr, Json, ToJson};
 use jqi_core::paper::flight_hotel;
 use jqi_core::{ClassId, DecisionCacheStats, Label, StrategyConfig, Universe};
 use jqi_relation::BitSet;
@@ -617,11 +617,8 @@ impl ToJson for ThroughputReport {
                     ),
                 ]),
             ),
-            ("phases".into(), Json::arr(&self.phases)),
-            (
-                "restore_vs_history".into(),
-                Json::arr(&self.restore_vs_history),
-            ),
+            ("phases".into(), arr(&self.phases)),
+            ("restore_vs_history".into(), arr(&self.restore_vs_history)),
             ("fleet".into(), self.fleet.to_json()),
             ("hibernate".into(), self.hibernate.to_json()),
             ("durability".into(), self.durability.to_json()),
@@ -1104,7 +1101,6 @@ fn overload_phase(tiny: bool, seed: u64) -> OverloadReport {
     use jqi_datagen::tpch::{workload, TpchJoin, TpchScale};
     use jqi_net::{ChaosProxy, ChaosScript, Client, Fault, NetConfig};
     use jqi_server::http::{serve_with, OverloadConfig, UniverseRegistry};
-    use jqi_server::json::Json as Wire;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     // 2× offered load: twice as many always-outstanding clients as
@@ -1172,7 +1168,7 @@ fn overload_phase(tiny: bool, seed: u64) -> OverloadReport {
         let doc = resp
             .body_str()
             .ok()
-            .and_then(|t| Wire::parse(t).ok())
+            .and_then(|t| Json::parse(t).ok())
             .ok_or_else(|| format!("unparseable body at status {}", resp.status))?;
         match resp.status {
             200 | 201 => Ok(true),
@@ -1180,7 +1176,7 @@ fn overload_phase(tiny: bool, seed: u64) -> OverloadReport {
                 let code = doc
                     .get("error")
                     .and_then(|e| e.get("code"))
-                    .and_then(Wire::as_str);
+                    .and_then(Json::as_str);
                 let hinted = resp.headers.iter().any(|(n, _)| n == "retry-after");
                 if code == Some("overloaded") && hinted {
                     Ok(false)
@@ -1196,8 +1192,8 @@ fn overload_phase(tiny: bool, seed: u64) -> OverloadReport {
     fn created_sid(resp: &jqi_net::ClientResponse) -> Option<u64> {
         resp.body_str()
             .ok()
-            .and_then(|t| Wire::parse(t).ok())
-            .and_then(|doc| doc.get("session").and_then(Wire::as_num))
+            .and_then(|t| Json::parse(t).ok())
+            .and_then(|doc| doc.get("session").and_then(Json::as_num))
             .map(|n| n as u64)
     }
 
@@ -1391,7 +1387,6 @@ fn transport_phase(
 ) -> TransportReport {
     use jqi_net::{Client, NetConfig};
     use jqi_server::http::{serve, UniverseRegistry};
-    use jqi_server::json::Json as Wire;
     use std::sync::Barrier;
 
     let sessions = params.threads * params.sessions_per_thread;
@@ -1460,9 +1455,9 @@ fn transport_phase(
                             .expect("create over http");
                         lat.push(t0.elapsed().as_nanos() as u64);
                         assert_eq!(resp.status, 201, "{}", text(&resp));
-                        let doc = Wire::parse(text(&resp)).expect("json body");
+                        let doc = Json::parse(text(&resp)).expect("json body");
                         sids.push(
-                            doc.get("session").and_then(Wire::as_num).expect("session") as u64
+                            doc.get("session").and_then(Json::as_num).expect("session") as u64
                         );
                     }
 
@@ -1480,8 +1475,8 @@ fn transport_phase(
                             let resp = clients[k].get(&path).expect("question over http");
                             lat.push(t0.elapsed().as_nanos() as u64);
                             assert_eq!(resp.status, 200, "{}", text(&resp));
-                            let doc = Wire::parse(text(&resp)).expect("json body");
-                            if doc.get("done") == Some(&Wire::Bool(true)) {
+                            let doc = Json::parse(text(&resp)).expect("json body");
+                            if doc.get("done") == Some(&Json::Bool(true)) {
                                 done[k] = true;
                                 live -= 1;
                                 continue;
@@ -1489,7 +1484,7 @@ fn transport_phase(
                             let class = doc
                                 .get("question")
                                 .and_then(|q| q.get("class"))
-                                .and_then(Wire::as_num)
+                                .and_then(Json::as_num)
                                 .expect("open question")
                                 as ClassId;
                             let label = match oracle_label(&universe, &plans[lo + k].goal, class) {

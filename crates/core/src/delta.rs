@@ -18,10 +18,10 @@
 //!   the *distinct join profiles* grouping them, plus per-symbol
 //!   occurrence units used to detect symbols becoming shared.
 //! * [`Universe::apply_delta`] — produces the post-edit universe by
-//!   adjusting profile weights, retiring/creating profiles, patching class
-//!   counts/representatives/buckets, and patching the `ClassClosure` only
-//!   for affected classes. The result's [`Universe::epoch`] is bumped and
-//!   its decision cache starts empty.
+//!   adjusting profile weights, retiring/creating profiles, scoring the
+//!   changed profile pairs into the same class table the build uses, and
+//!   repairing representatives. The result's [`Universe::epoch`] is bumped
+//!   and its decision cache starts empty.
 //!
 //! # Why profile-level deltas are sound: the superset grouping
 //!
@@ -62,19 +62,25 @@
 //! ```
 //!
 //! summed per signature — one opposite-side profile sweep per *changed
-//! profile*, not per edited row. Count deltas accumulate in signed space
-//! (so transient negatives during a window are harmless) and are applied
-//! once: class births append, classes whose count reaches zero are
-//! compacted away (ids above them shift down — which is why sessions must
-//! be migrated, see `SessionManager::migrate`).
+//! profile*, not per edited row. The sums land in the one class table
+//! every construction path uses (`ClassTable` in `universe.rs`), seeded
+//! with the serving universe's classes in id order. Its weights are
+//! signed, so transient negatives during a window are harmless. The same
+//! finishing step as a build then drops zero-weight classes and rebuilds
+//! the containment closure. The id policy that follows:
+//!
+//! * surviving classes keep their relative order — ids above a retired
+//!   class shift down, which is why sessions must be migrated (see
+//!   `SessionManager::migrate`);
+//! * new signatures are appended in the order they are first scored.
 //!
 //! The one thing that forces an early settle is a symbol becoming shared
 //! mid-batch: the split changes grouping attribution, so the window is
 //! scored under the pre-split grouping first. Both orderings describe the
 //! same product; the settle points just keep the bookkeeping exact.
 
-use crate::universe::{ClassClosure, Universe};
-use jqi_relation::bitset::{hash_words, BitSet};
+use crate::universe::{ClassTable, Universe};
+use jqi_relation::bitset::{word_count, BitSet};
 use jqi_relation::stream::Side;
 use jqi_relation::{Instance, Tuple};
 use std::collections::HashMap;
@@ -240,16 +246,17 @@ impl fmt::Display for DeltaError {
 
 impl std::error::Error for DeltaError {}
 
-/// A growable symbol set (plain bit words; the interner can grow past any
-/// capacity fixed at build time, so [`BitSet`] does not fit here).
+/// A growable symbol set (plain bit words; the interner grows while a
+/// stream is consumed or a delta brings new values, so a fixed-capacity
+/// [`BitSet`] does not fit). Shared with the streaming ingest's scan.
 #[derive(Debug, Clone, Default)]
-struct SymSet {
+pub(crate) struct SymbolSet {
     words: Vec<u64>,
 }
 
-impl SymSet {
-    fn from_bitset(b: &BitSet) -> SymSet {
-        SymSet {
+impl SymbolSet {
+    fn from_bitset(b: &BitSet) -> SymbolSet {
+        SymbolSet {
             words: b.words().to_vec(),
         }
     }
@@ -260,12 +267,21 @@ impl SymSet {
         w < self.words.len() && self.words[w] >> (s % 64) & 1 == 1
     }
 
-    fn insert(&mut self, s: u32) {
+    pub(crate) fn insert(&mut self, s: u32) {
         let w = s as usize / 64;
         if w >= self.words.len() {
             self.words.resize(w + 1, 0);
         }
         self.words[w] |= 1 << (s % 64);
+    }
+
+    /// Intersection as a `BitSet` of capacity `cap`.
+    pub(crate) fn intersect(&self, other: &SymbolSet, cap: usize) -> BitSet {
+        let word = |set: &SymbolSet, w: usize| set.words.get(w).copied().unwrap_or(0);
+        let words = (0..word_count(cap))
+            .map(|w| word(self, w) & word(other, w))
+            .collect();
+        BitSet::from_words(cap, words)
     }
 }
 
@@ -480,7 +496,7 @@ pub(crate) struct LiveTables {
     pub(crate) p: SideTable,
     /// Grow-only superset of the truly-shared symbol set; the profile
     /// grouping's holing mask.
-    ever_shared: SymSet,
+    ever_shared: SymbolSet,
 }
 
 impl LiveTables {
@@ -490,7 +506,7 @@ impl LiveTables {
         LiveTables {
             r: SideTable::new(arity_r),
             p: SideTable::new(arity_p),
-            ever_shared: SymSet::from_bitset(shared),
+            ever_shared: SymbolSet::from_bitset(shared),
         }
     }
 
@@ -596,35 +612,24 @@ impl LiveTables {
     }
 }
 
-/// One pending class birth discovered while settling a batch.
-struct Birth {
-    sig: BitSet,
-    delta: i64,
-    rep: (u32, u32),
-}
-
-/// The signed per-class count accumulator of one `apply_delta` call.
+/// The signed pair-weight accumulator of one `apply_delta` call.
 struct PairAcc {
     /// Changed profiles of the current settle window → weight at window
     /// start.
     changed_r: HashMap<u32, u64>,
     changed_p: HashMap<u32, u64>,
-    /// Signed count deltas for pre-existing classes.
-    cdelta: Vec<i64>,
-    /// Signatures not present in the universe, with accumulated deltas.
-    births: Vec<Birth>,
-    birth_buckets: HashMap<u64, Vec<u32>>,
+    /// The serving universe's classes under their ids, then each new
+    /// signature in the order it is first scored.
+    table: ClassTable,
     scratch: BitSet,
 }
 
 impl PairAcc {
-    fn new(classes: usize, nbits: usize) -> PairAcc {
+    fn new(table: ClassTable, nbits: usize) -> PairAcc {
         PairAcc {
             changed_r: HashMap::new(),
             changed_p: HashMap::new(),
-            cdelta: vec![0; classes],
-            births: Vec::new(),
-            birth_buckets: HashMap::new(),
+            table,
             scratch: BitSet::empty(nbits),
         }
     }
@@ -636,42 +641,14 @@ impl PairAcc {
         };
     }
 
-    /// Adds `v` product tuples to the class carrying the signature in
-    /// `self.scratch` (probing the universe's buckets, then the pending
-    /// births, then recording a new birth).
-    fn bump(&mut self, u: &Universe, v: i64, rep: (u32, u32)) {
-        let words = self.scratch.words();
-        let h = hash_words(words);
-        if let Some(bucket) = u.buckets.get(&h) {
-            for &c in bucket {
-                if u.sigs[c as usize].words() == words {
-                    self.cdelta[c as usize] += v;
-                    return;
-                }
-            }
-        }
-        let bucket = self.birth_buckets.entry(h).or_default();
-        for &bi in bucket.iter() {
-            if self.births[bi as usize].sig.words() == words {
-                self.births[bi as usize].delta += v;
-                return;
-            }
-        }
-        bucket.push(self.births.len() as u32);
-        self.births.push(Birth {
-            sig: self.scratch.clone(),
-            delta: v,
-            rep,
-        });
-    }
-
     /// Scores the current window: every changed profile sweeps the
     /// opposite side once (`Δw_r · w_p^old + w_r^new · Δw_p` per pair,
     /// accumulated per signature), then the window resets. Profile order
     /// is sorted so class-birth order — and hence the resulting
     /// fingerprint — is deterministic.
-    fn settle(&mut self, u: &Universe, lt: &LiveTables) {
-        let pairs = u.instance.pairs();
+    fn settle(&mut self, instance: &Instance, lt: &LiveTables) {
+        let pairs = instance.pairs();
+        let nbits = pairs.len();
         let changed_r = std::mem::take(&mut self.changed_r);
         let changed_p = std::mem::take(&mut self.changed_p);
         let mut changed: Vec<(u32, u64)> = changed_r.into_iter().collect();
@@ -692,7 +669,8 @@ impl PairAcc {
                     lt.r.prof_instance[pr as usize],
                     lt.p.prof_instance[pp as usize],
                 );
-                self.bump(u, dr * wp_old as i64, rep);
+                let v = dr * wp_old as i64;
+                self.table.observe(nbits, self.scratch.words(), v, rep);
             }
         }
         let mut changed: Vec<(u32, u64)> = changed_p.into_iter().collect();
@@ -713,7 +691,8 @@ impl PairAcc {
                     lt.r.prof_instance[pr as usize],
                     lt.p.prof_instance[pp as usize],
                 );
-                self.bump(u, wr_new as i64 * dp, rep);
+                let v = wr_new as i64 * dp;
+                self.table.observe(nbits, self.scratch.words(), v, rep);
             }
         }
     }
@@ -754,12 +733,14 @@ impl Universe {
     /// The receiver is untouched (open sessions keep serving it); the
     /// result is a fresh universe with:
     ///
-    /// * class counts adjusted, classes born for never-seen signatures and
-    ///   compacted away when their count reaches zero (class ids are only
-    ///   stable when no class dies — migration maps ids by signature);
+    /// * class counts adjusted, classes born for never-seen signatures
+    ///   (appended in the order first scored) and dropped when their count
+    ///   reaches zero (survivors keep their relative order, so class ids
+    ///   are only stable when no class dies — migration maps ids by
+    ///   signature);
     /// * representatives repaired to surviving rows;
-    /// * the [`crate::universe::ClassClosure`] patched in place per birth
-    ///   (full rebuild only on deaths or a 64-class mask-stride crossing);
+    /// * the [`crate::universe::ClassClosure`] rebuilt over the result, as
+    ///   after a build;
     /// * [`Universe::epoch`] bumped by one (so [`Universe::fingerprint`]
     ///   changes even if the class structure does not) and an **empty**
     ///   decision cache with the same budget.
@@ -813,12 +794,8 @@ impl Universe {
             None => return Err(DeltaError::NotLive),
         };
 
-        let mut u = self.clone(); // decision cache clones to empty-same-budget
-        u.epoch = self.epoch + 1;
-        u.live = None;
-
-        let nbits = u.instance.pairs().len();
-        let mut acc = PairAcc::new(u.sigs.len(), nbits);
+        let mut instance = self.instance.clone();
+        let mut acc = PairAcc::new(ClassTable::seeded(self), instance.pairs().len());
         let mut syms: Vec<u32> = Vec::new();
         let mut key: Vec<u32> = Vec::new();
 
@@ -840,14 +817,14 @@ impl Universe {
                         if opp.units(s) == 0 {
                             continue;
                         }
-                        acc.settle(&u, &lt);
+                        acc.settle(&instance, &lt);
                         lt.ever_shared.insert(s);
-                        split_on_shared(&mut lt, e.side.opposite(), s, &mut u.instance);
+                        split_on_shared(&mut lt, e.side.opposite(), s, &mut instance);
                     }
-                    apply_insert(&mut lt, e.side, &syms, &mut u.instance, &mut acc, &mut key);
+                    apply_insert(&mut lt, e.side, &syms, &mut instance, &mut acc, &mut key);
                 }
                 EditOp::Delete => {
-                    apply_delete(&mut lt, e.side, &syms, &mut u.instance, &mut acc).map_err(
+                    apply_delete(&mut lt, e.side, &syms, &mut instance, &mut acc).map_err(
                         |()| DeltaError::MissingRow {
                             side: e.side,
                             index,
@@ -857,8 +834,13 @@ impl Universe {
                 }
             }
         }
-        acc.settle(&u, &lt);
-        finalize(&mut u, lt, acc);
+        acc.settle(&instance, &lt);
+        let distinct = (lt.r.alive_profiles(), lt.p.alive_profiles());
+        let mut u = Universe::from_table(instance, acc.table, distinct, 1);
+        u.epoch = self.epoch + 1;
+        u.decision_cache = self.decision_cache.clone(); // empty, same budget
+        repair_representatives(&mut u, &lt);
+        u.live = Some(Arc::new(lt));
         Ok(u)
     }
 }
@@ -1032,79 +1014,11 @@ fn apply_delete(
     Ok(())
 }
 
-/// Applies the settled count deltas: births append, zero-count classes
-/// compact away, the closure is patched or rebuilt, representatives are
-/// repaired, and the live tables are attached to the result.
-fn finalize(u: &mut Universe, lt: LiveTables, acc: PairAcc) {
-    let nbits = u.instance.pairs().len();
-    let old_n = u.sigs.len();
-
-    let mut deaths = false;
-    for (c, &d) in acc.cdelta.iter().enumerate() {
-        let next = (u.counts[c] as i64)
-            .checked_add(d)
-            .expect("class count overflow");
-        assert!(next >= 0, "delta maintenance drove class {c} negative");
-        u.counts[c] = next as u64;
-        deaths |= next == 0;
-    }
-    for birth in acc.births {
-        if birth.delta == 0 {
-            continue;
-        }
-        assert!(
-            birth.delta > 0,
-            "delta maintenance removed tuples from a class that never existed"
-        );
-        let cid = u.sigs.len() as u32;
-        u.buckets
-            .entry(hash_words(birth.sig.words()))
-            .or_default()
-            .push(cid);
-        u.sig_sizes.push(birth.sig.len() as u32);
-        u.sigs.push(birth.sig);
-        u.counts.push(birth.delta as u64);
-        u.reps.push(birth.rep);
-        if !deaths {
-            u.closure.push_class(&u.sigs, nbits);
-        }
-    }
-
-    if deaths {
-        // Compact: surviving classes keep their relative order (stable
-        // remap), buckets and closure are rebuilt over the survivors.
-        let mut keep: Vec<u32> = Vec::with_capacity(u.sigs.len());
-        let mut w = 0usize;
-        for c in 0..u.sigs.len() {
-            if u.counts[c] > 0 {
-                u.sigs.swap(w, c);
-                u.counts.swap(w, c);
-                u.sig_sizes.swap(w, c);
-                u.reps.swap(w, c);
-                keep.push(c as u32);
-                w += 1;
-            }
-        }
-        u.sigs.truncate(w);
-        u.counts.truncate(w);
-        u.sig_sizes.truncate(w);
-        u.reps.truncate(w);
-        u.buckets.clear();
-        for (c, sig) in u.sigs.iter().enumerate() {
-            u.buckets
-                .entry(hash_words(sig.words()))
-                .or_default()
-                .push(c as u32);
-        }
-        u.closure = ClassClosure::build(&u.sigs, nbits, 1);
-        let _ = (old_n, keep);
-    }
-
-    // Representative repair: every class must point at instance rows whose
-    // content is live. Cheap path: the dead row's *profile* survives, so
-    // its (already-live) representative instance row substitutes —
-    // signature-preserving. Slow path (profile retired): signature search
-    // over live profile pairs with early exit.
+/// Points every class at live instance rows. Cheap path: the dead row's
+/// *profile* survives, so its (already-live) representative instance row
+/// substitutes — signature-preserving. Slow path (profile retired):
+/// signature search over live profile pairs with early exit.
+fn repair_representatives(u: &mut Universe, lt: &LiveTables) {
     let mut need: Vec<usize> = Vec::new();
     for c in 0..u.sigs.len() {
         let (ri, pi) = u.reps[c];
@@ -1126,7 +1040,7 @@ fn finalize(u: &mut Universe, lt: LiveTables, acc: PairAcc) {
     }
     if !need.is_empty() {
         let pairs = u.instance.pairs();
-        let mut scratch = BitSet::empty(nbits);
+        let mut scratch = BitSet::empty(pairs.len());
         'scan: for pr in 0..lt.r.prof_count() as u32 {
             if lt.r.prof_weight(pr) == 0 {
                 continue;
@@ -1156,11 +1070,6 @@ fn finalize(u: &mut Universe, lt: LiveTables, acc: PairAcc) {
             "delta maintenance left classes without live representatives"
         );
     }
-
-    u.distinct_r = lt.r.alive_profiles();
-    u.distinct_p = lt.p.alive_profiles();
-    u.rows_complete = false;
-    u.live = Some(Arc::new(lt));
 }
 
 #[cfg(test)]
@@ -1356,6 +1265,30 @@ mod tests {
         d.delete(Side::R, m.tuple(&[5, 6]));
         let inc = check(&mut m, &base, &d);
         assert!(inc.num_classes() < base.num_classes());
+    }
+
+    #[test]
+    fn delta_keeps_survivor_order_and_appends_new_classes() {
+        // Build ids: 0 = {A0=B0} (witnessed only by P row (0, 2)),
+        // 1 = {A1=B0, A1=B1}, 2 = ∅. Deleting (0, 2) retires class 0;
+        // inserting (6, 5) creates {A0=B1, A1=B0} against R row (5, 6).
+        let mut m = Model::new(&[&[0, 1], &[5, 6]], &[&[0, 2], &[1, 1]]);
+        let base = m.build();
+        assert_eq!(base.num_classes(), 3);
+        let mut d = UniverseDelta::new();
+        d.delete(Side::P, m.tuple(&[0, 2]));
+        d.insert(Side::P, m.tuple(&[6, 5]));
+        let inc = check(&mut m, &base, &d);
+        assert_eq!(inc.class_for_signature(base.sig(0)), None);
+        // Survivors keep their relative order, compacted to the front.
+        assert_eq!(inc.class_for_signature(base.sig(1)), Some(0));
+        assert_eq!(inc.class_for_signature(base.sig(2)), Some(1));
+        // The new class takes the next id.
+        assert_eq!(inc.num_classes(), 3);
+        assert_eq!(base.class_for_signature(inc.sig(2)), None);
+        let (ri, pi) = inc.representative(2);
+        assert_eq!(inc.instance().signature(ri, pi), *inc.sig(2));
+        assert_eq!(inc.sig(2).len(), 2);
     }
 
     #[test]

@@ -30,9 +30,10 @@
 //!
 //! Seeded generators (e.g. `jqi_datagen::stream`) replay for free, so the
 //! second pass costs one more generation sweep, never a materialization.
-//! Callers that know the shared set up front (or accept a superset — see
-//! [`Universe::build_streaming_with_shared`]) can skip pass 1 and stay
-//! strictly single-pass.
+//!
+//! Both passes end in the universe's one class table and finishing step
+//! (`Universe::assemble`), the same code [`Universe::build`] and
+//! [`Universe::apply_delta`] use.
 //!
 //! # Determinism
 //!
@@ -44,9 +45,8 @@
 //! for every thread count and chunk size (property-tested in
 //! `tests/properties.rs`).
 
-use crate::delta::LiveTables;
+use crate::delta::{LiveTables, SymbolSet};
 use crate::universe::{Profile, Universe};
-use jqi_relation::bitset::WORD_BITS;
 use jqi_relation::{BitSet, RowChunk, Side, StreamSchema, Tuple};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -59,10 +59,6 @@ pub struct IngestOptions {
     /// Ingestion worker threads folding chunks into profile maps. `1`
     /// folds inline on the calling thread (no channel, no spawn).
     pub threads: usize,
-    /// Bounded-channel capacity, in chunks, between the chunk source and
-    /// the ingestion workers. Caps in-flight row memory at
-    /// `capacity × chunk bytes` while letting generation overlap folding.
-    pub channel_chunks: usize,
     /// Hard ceiling on tracked accumulator bytes: ingestion panics when
     /// the profile maps outgrow it. A memory blow-up (a stream whose
     /// profiles do *not* collapse) then fails fast — in CI, the bench
@@ -75,7 +71,6 @@ impl IngestOptions {
     pub fn with_threads(threads: usize) -> Self {
         IngestOptions {
             threads: threads.max(1),
-            channel_chunks: 2 * threads.max(1),
             byte_ceiling: None,
         }
     }
@@ -108,8 +103,8 @@ pub struct IngestStats {
     pub distinct_p: usize,
     /// Peak tracked bytes of the profile accumulators across all workers —
     /// the streaming build's resident ingestion state. Excludes the
-    /// bounded channel (`channel_chunks × chunk bytes`, a configured
-    /// constant) and the final universe itself.
+    /// bounded channel (at most `2 × threads` chunks in flight) and the
+    /// final universe itself.
     pub peak_tracked_bytes: usize,
     /// What the rows would occupy if materialized as interned tuples —
     /// the memory the streaming path avoids holding.
@@ -209,46 +204,12 @@ impl SideAcc {
     }
 }
 
-/// A growable symbol-occurrence set (plain word vector; `BitSet` has a
-/// fixed capacity but the interner grows while the stream is consumed).
-#[derive(Debug, Default)]
-struct SymbolSet {
-    words: Vec<u64>,
-}
-
-impl SymbolSet {
-    fn insert(&mut self, index: usize) {
-        let w = index / WORD_BITS;
-        if w >= self.words.len() {
-            self.words.resize(w + 1, 0);
-        }
-        self.words[w] |= 1u64 << (index % WORD_BITS);
-    }
-
-    /// Intersection as a `BitSet` of capacity `cap`.
-    fn intersect(&self, other: &SymbolSet, cap: usize) -> BitSet {
-        let mut out = BitSet::empty(cap);
-        for w in 0..self.words.len().min(other.words.len()) {
-            let mut bits = self.words[w] & other.words[w];
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                let index = w * WORD_BITS + b;
-                if index < cap {
-                    out.insert(index);
-                }
-                bits &= bits - 1;
-            }
-        }
-        out
-    }
-}
-
 /// The first streaming pass: per-side symbol-occurrence sets, intersected
 /// into the exact shared-symbol set (the streaming analogue of
 /// [`jqi_relation::Instance::shared_symbols`]).
 ///
 /// Memory is `O(distinct symbols)`; rows are inspected and dropped.
-pub fn scan_shared_symbols(
+pub(crate) fn scan_shared_symbols(
     schema: &StreamSchema,
     chunks: impl Iterator<Item = RowChunk>,
 ) -> BitSet {
@@ -261,7 +222,7 @@ pub fn scan_shared_symbols(
         };
         for row in &chunk.rows {
             for sym in row.symbols() {
-                set.insert(sym.index());
+                set.insert(sym.0);
             }
         }
     }
@@ -371,7 +332,9 @@ fn fold_stream(
         }
         (r_acc, p_acc)
     } else {
-        let (tx, rx) = sync_channel::<(u64, RowChunk)>(options.channel_chunks.max(1));
+        // Two chunks in flight per worker cap in-flight row memory while
+        // letting generation overlap folding.
+        let (tx, rx) = sync_channel::<(u64, RowChunk)>(2 * threads);
         // Workers co-own the receiver: if every worker dies (e.g. the
         // byte ceiling trips and the panic unwinds them), the channel
         // disconnects and the blocked feeder's `send` errors out instead
@@ -472,17 +435,11 @@ impl Universe {
     where
         I: Iterator<Item = RowChunk>,
     {
-        let shared = scan_shared_symbols(&schema, source());
-        Self::build_streaming_with_shared(
-            schema,
-            shared,
-            source(),
-            &IngestOptions::with_threads(threads),
-        )
+        Self::build_streaming_with_options(schema, source, &IngestOptions::with_threads(threads))
     }
 
     /// [`Universe::build_streaming`] with explicit [`IngestOptions`]
-    /// (worker count, channel depth, byte ceiling).
+    /// (worker count, byte ceiling).
     pub fn build_streaming_with_options<I>(
         schema: StreamSchema,
         source: impl Fn() -> I,
@@ -501,13 +458,13 @@ impl Universe {
     ///
     /// `shared` must contain every symbol occurring on both sides.
     /// Providing exactly the true shared set (what
-    /// [`scan_shared_symbols`] computes) reproduces [`Universe::build`]
+    /// `scan_shared_symbols` computes) reproduces [`Universe::build`]
     /// bit for bit; a strict **superset** still yields correct signatures
     /// and counts but may split profiles finer (more resident
     /// representatives, and class ids follow the finer enumeration).
     /// A set *missing* a genuinely shared symbol is unsound — its
     /// equality bits would be lost.
-    pub fn build_streaming_with_shared(
+    pub(crate) fn build_streaming_with_shared(
         schema: StreamSchema,
         shared: BitSet,
         chunks: impl Iterator<Item = RowChunk>,
@@ -577,7 +534,7 @@ impl Universe {
 
     /// [`Universe::build_streaming_live`] with explicit [`IngestOptions`]
     /// (`byte_ceiling` is enforced against the live tables' resident
-    /// bytes; `channel_chunks` is unused — the fold is sequential).
+    /// bytes; the row fold is sequential, so no chunk channel is used).
     pub fn build_streaming_live_with_options<I>(
         schema: StreamSchema,
         source: impl Fn() -> I,

@@ -199,67 +199,6 @@ impl ClassClosure {
         }
     }
 
-    /// Appends the last class of `sigs` to the closure in place — the
-    /// delta-maintenance patch path for a class *birth*.
-    ///
-    /// `sigs` must be the full post-birth signature list (the new class
-    /// last, everything before it unchanged since the closure was built).
-    /// O(classes · |Ω|-words) instead of the full `O(classes · |Ω| ·
-    /// mask_words)` rebuild: the member masks gain one bit per signature
-    /// bit, the new class's `up`/`down` strides are computed from them, and
-    /// each existing class gains at most one bit (two subset tests). Falls
-    /// back to a full rebuild when the mask stride grows (a 64-class word
-    /// boundary) or the static-mask memory cap is crossed.
-    pub(crate) fn push_class(&mut self, sigs: &[BitSet], omega_len: usize) {
-        let c = self.classes;
-        debug_assert_eq!(sigs.len(), c + 1);
-        let statics_after = ((c + 1) as u64).pow(2) <= STATIC_MASK_BITS_CAP;
-        if word_count(c + 1) != self.mask_words || self.has_static_masks() != statics_after {
-            *self = ClassClosure::build(sigs, omega_len, 1);
-            return;
-        }
-        let mw = self.mask_words;
-        let sig = &sigs[c];
-        let (wi, bit) = (c / WORD_BITS, 1u64 << (c % WORD_BITS));
-        for b in sig.iter() {
-            self.members[b * mw + wi] |= bit;
-        }
-        self.classes = c + 1;
-        if let (Some(up), Some(down)) = (self.up.as_mut(), self.down.as_mut()) {
-            up.resize((c + 1) * mw, 0);
-            down.resize((c + 1) * mw, 0);
-            {
-                let up_c = &mut up[c * mw..(c + 1) * mw];
-                up_c.iter_mut().for_each(|w| *w = !0);
-                for b in sig.iter() {
-                    let m = &self.members[b * mw..(b + 1) * mw];
-                    up_c.iter_mut().zip(m).for_each(|(w, &v)| *w &= v);
-                }
-                clamp_mask(up_c, c + 1);
-            }
-            {
-                let down_c = &mut down[c * mw..(c + 1) * mw];
-                for b in 0..omega_len {
-                    if sig.contains(b) {
-                        continue;
-                    }
-                    let m = &self.members[b * mw..(b + 1) * mw];
-                    down_c.iter_mut().zip(m).for_each(|(w, &v)| *w |= v);
-                }
-                down_c.iter_mut().for_each(|w| *w = !*w);
-                clamp_mask(down_c, c + 1);
-            }
-            for (t, sig_t) in sigs.iter().enumerate().take(c) {
-                if sig_t.is_subset(sig) {
-                    up[t * mw + wi] |= bit;
-                }
-                if sig.is_subset(sig_t) {
-                    down[t * mw + wi] |= bit;
-                }
-            }
-        }
-    }
-
     /// Words per class-index mask (`⌈classes / 64⌉`).
     #[inline]
     pub fn mask_words(&self) -> usize {
@@ -692,21 +631,41 @@ impl PIndex {
     }
 }
 
-/// A growing table of distinct signatures with weights, representatives and
-/// hash buckets. Threads build local tables; [`ClassTable::absorb`] merges
-/// them deterministically.
+/// The one table that assigns class ids: distinct signatures in
+/// first-observed order, with weights, representatives and hash buckets.
+///
+/// The build scans profile pairs into per-thread tables and merges them
+/// with [`ClassTable::absorb`]; a delta seeds a table with the serving
+/// universe's classes ([`ClassTable::seeded`]) and feeds it signed pair
+/// weights. Either way [`Universe::from_table`] finishes it.
 #[derive(Default)]
-struct ClassTable {
+pub(crate) struct ClassTable {
     sigs: Vec<BitSet>,
-    counts: Vec<u64>,
+    /// Signed so a delta can remove tuples; no finished class is negative.
+    counts: Vec<i64>,
     reps: Vec<(u32, u32)>,
     buckets: HashMap<u64, Vec<u32>>,
 }
 
 impl ClassTable {
-    /// Records `count` product tuples with the signature in `words`; `rep`
-    /// is used only if the signature is new.
-    fn observe(&mut self, nbits: usize, words: &[u64], count: u64, rep: (u32, u32)) {
+    /// A table holding `u`'s classes under their current ids.
+    pub(crate) fn seeded(u: &Universe) -> ClassTable {
+        ClassTable {
+            sigs: u.sigs.clone(),
+            counts: u
+                .counts
+                .iter()
+                .map(|&n| i64::try_from(n).expect("class weight fits i64"))
+                .collect(),
+            reps: u.reps.clone(),
+            buckets: u.buckets.clone(),
+        }
+    }
+
+    /// Adds `count` product tuples (negative: removes them) to the class
+    /// with the signature in `words`, appending a class if the signature
+    /// is new; `rep` is used only then.
+    pub(crate) fn observe(&mut self, nbits: usize, words: &[u64], count: i64, rep: (u32, u32)) {
         let bucket = self.buckets.entry(hash_words(words)).or_default();
         for &cid in bucket.iter() {
             if self.sigs[cid as usize].words() == words {
@@ -753,7 +712,8 @@ fn scan_chunk(
                     or_shifted(&mut scratch, pindex.mask(slot), i * m);
                 }
             }
-            table.observe(nbits, &scratch, rp.count * pp.count, (rp.rep, pp.rep));
+            let weight = i64::try_from(rp.count * pp.count).expect("class weight fits i64");
+            table.observe(nbits, &scratch, weight, (rp.rep, pp.rep));
         }
     }
     table
@@ -789,22 +749,6 @@ impl Universe {
         u
     }
 
-    /// [`Universe::build`] with an explicit worker count, exposed so the
-    /// equivalence property tests (and benches) can force the parallel
-    /// merge path on any machine.
-    pub fn build_with_parallelism(instance: Instance, threads: usize) -> Self {
-        let shared = instance.shared_symbols();
-        let r_profiles = distinct_profiles(
-            (0..instance.r().len()).map(|ri| instance.r_profile_key(ri, &shared)),
-        );
-        let p_profiles = distinct_profiles(
-            (0..instance.p().len()).map(|pi| instance.p_profile_key(pi, &shared)),
-        );
-        let mut u = Self::assemble(instance, shared, r_profiles, p_profiles, threads);
-        u.rows_complete = true;
-        u
-    }
-
     /// The pre-deduplication construction: walk every `(ri, pi)` row pair
     /// of the raw Cartesian product, exactly as the seed implementation
     /// did. `O(|R| · |P| · n)`. Kept as an executable specification (the
@@ -833,7 +777,7 @@ impl Universe {
         let r_rows = instance.r().rows();
 
         let scan_threads = threads.clamp(1, r_profiles.len().max(1));
-        let mut table = if scan_threads <= 1 {
+        let table = if scan_threads <= 1 {
             scan_chunk(r_rows, &r_profiles, &p_profiles, &pindex, nbits, m)
         } else {
             let chunk = r_profiles.len().div_ceil(scan_threads);
@@ -857,20 +801,61 @@ impl Universe {
             merged
         };
 
-        let sig_sizes = table.sigs.iter().map(|s| s.len() as u32).collect();
-        table.buckets.shrink_to_fit();
-        let closure = ClassClosure::build(&table.sigs, nbits, threads);
+        Self::from_table(
+            instance,
+            table,
+            (r_profiles.len(), p_profiles.len()),
+            threads,
+        )
+    }
+
+    /// The one finishing step of every construction path: drops
+    /// zero-weight classes (only a delta leaves any; the survivors keep
+    /// their relative order) and derives the class fields — signatures,
+    /// sizes, counts, representatives, buckets and the containment closure.
+    /// `distinct` is the `(R, P)` profile count the table was scored over.
+    pub(crate) fn from_table(
+        instance: Instance,
+        table: ClassTable,
+        distinct: (usize, usize),
+        threads: usize,
+    ) -> Self {
+        let ClassTable {
+            mut sigs,
+            mut counts,
+            mut reps,
+            mut buckets,
+        } = table;
+        if let Some(c) = counts.iter().position(|&n| n < 0) {
+            panic!("delta maintenance drove class {c} negative");
+        }
+        if counts.contains(&0) {
+            let mut keep = counts.iter().map(|&n| n > 0);
+            sigs.retain(|_| keep.next() == Some(true));
+            let mut keep = counts.iter().map(|&n| n > 0);
+            reps.retain(|_| keep.next() == Some(true));
+            counts.retain(|&n| n > 0);
+            buckets.clear();
+            for (c, sig) in sigs.iter().enumerate() {
+                buckets
+                    .entry(hash_words(sig.words()))
+                    .or_default()
+                    .push(c as u32);
+            }
+        }
+        buckets.shrink_to_fit();
+        let closure = ClassClosure::build(&sigs, instance.pairs().len(), threads);
         Universe {
             instance,
-            sigs: table.sigs,
-            sig_sizes,
-            counts: table.counts,
-            reps: table.reps,
-            buckets: table.buckets,
+            sig_sizes: sigs.iter().map(|s| s.len() as u32).collect(),
+            counts: counts.into_iter().map(|n| n as u64).collect(),
+            sigs,
+            reps,
+            buckets,
             closure,
             decision_cache: DecisionCache::new(DEFAULT_DECISION_CACHE_BYTES),
-            distinct_r: r_profiles.len(),
-            distinct_p: p_profiles.len(),
+            distinct_r: distinct.0,
+            distinct_p: distinct.1,
             epoch: 0,
             live: None,
             rows_complete: false,
@@ -881,16 +866,10 @@ impl Universe {
     /// (`0` disables caching entirely — every probe computes).
     ///
     /// Builder-style so call sites read
-    /// `Universe::build(inst).with_decision_cache_budget(n)`; see also
-    /// [`Universe::build_with_cache_budget`].
+    /// `Universe::build(inst).with_decision_cache_budget(n)`.
     pub fn with_decision_cache_budget(mut self, bytes: usize) -> Self {
         self.decision_cache = DecisionCache::new(bytes);
         self
-    }
-
-    /// [`Universe::build`] with an explicit decision-cache byte budget.
-    pub fn build_with_cache_budget(instance: Instance, bytes: usize) -> Self {
-        Self::build(instance).with_decision_cache_budget(bytes)
     }
 
     /// A statistics snapshot of the decision cache (hits, misses,
@@ -1141,6 +1120,20 @@ mod tests {
     use crate::paper::example_2_1;
     use jqi_relation::{InstanceBuilder, Value};
 
+    /// [`Universe::build`]'s profile dedup, then [`Universe::assemble`]
+    /// with an explicit worker count, so the merge path runs on any
+    /// machine.
+    fn build_with_threads(instance: Instance, threads: usize) -> Universe {
+        let shared = instance.shared_symbols();
+        let r_profiles = distinct_profiles(
+            (0..instance.r().len()).map(|ri| instance.r_profile_key(ri, &shared)),
+        );
+        let p_profiles = distinct_profiles(
+            (0..instance.p().len()).map(|pi| instance.p_profile_key(pi, &shared)),
+        );
+        Universe::assemble(instance, shared, r_profiles, p_profiles, threads)
+    }
+
     #[test]
     fn example_2_1_has_twelve_singleton_classes() {
         // Figure 3: all 12 product tuples have pairwise distinct T values.
@@ -1278,9 +1271,9 @@ mod tests {
             b.row_p_ints(&[(j * 2) % 5, j % 3]);
         }
         let inst = b.build().unwrap();
-        let seq = Universe::build_with_parallelism(inst.clone(), 1);
+        let seq = build_with_threads(inst.clone(), 1);
         for threads in [2, 3, 4, 7] {
-            let par = Universe::build_with_parallelism(inst.clone(), threads);
+            let par = build_with_threads(inst.clone(), threads);
             assert_eq!(
                 seq.sigs, par.sigs,
                 "signatures diverge at {threads} threads"
@@ -1395,10 +1388,10 @@ mod tests {
             b.row_p_ints(&[(j * 2) % 5, j % 4, (j * 5) % 6]);
         }
         let inst = b.build().unwrap();
-        let seq = Universe::build_with_parallelism(inst.clone(), 1);
+        let seq = build_with_threads(inst.clone(), 1);
         assert!(seq.num_classes() > 64, "want multi-word class masks");
         for threads in [2usize, 5] {
-            let par = Universe::build_with_parallelism(inst.clone(), threads);
+            let par = build_with_threads(inst.clone(), threads);
             assert_eq!(seq.closure.members, par.closure.members);
             assert_eq!(seq.closure.up, par.closure.up);
             assert_eq!(seq.closure.down, par.closure.down);

@@ -1,8 +1,9 @@
 //! Minimal JSON emission **and parsing** for session snapshots.
 //!
 //! The build container cannot fetch `serde`/`serde_json`, so snapshots use
-//! the same hand-rolled JSON the `jqi_bench` reports use — plus the parser
-//! that crate never needed (reports are write-only; snapshots round-trip).
+//! this hand-rolled JSON, and the `jqi_bench` reports re-export it rather
+//! than keeping an emitter of their own (reports are write-only; snapshots
+//! round-trip through the parser).
 //! Emission is deliberately plain: objects keep insertion order, floats
 //! print with `{}` (shortest round-trip), strings escape the JSON control
 //! set. The parser is a strict recursive-descent reader of exactly that
@@ -428,6 +429,35 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn pretty_printing_matches_serde_json_shape() {
+        let v = Json::Obj(vec![
+            ("name".into(), Json::str("x\"y")),
+            ("n".into(), Json::num(3u32)),
+            ("mean".into(), Json::Num(1.5)),
+            (
+                "items".into(),
+                Json::Arr(vec![Json::Num(1.0), Json::Bool(true), Json::Null]),
+            ),
+            ("empty".into(), Json::Arr(vec![])),
+        ]);
+        assert_eq!(
+            v.to_string_pretty(),
+            "{\n  \"name\": \"x\\\"y\",\n  \"n\": 3,\n  \"mean\": 1.5,\n  \"items\": [\n    1,\n    true,\n    null\n  ],\n  \"empty\": []\n}"
+        );
+    }
+
+    #[test]
+    fn integral_floats_print_without_fraction() {
+        assert_eq!(Json::Num(7.0).to_string_pretty(), "7");
+        assert_eq!(Json::Num(0.25).to_string_pretty(), "0.25");
+    }
+
+    #[test]
+    fn control_characters_are_escaped() {
+        assert_eq!(Json::str("a\u{1}b").to_string_pretty(), "\"a\\u0001b\"");
     }
 
     #[test]

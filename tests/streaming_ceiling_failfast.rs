@@ -23,7 +23,6 @@ fn ceiling_trip_multithreaded_fails_fast() {
         });
     }
     let mut options = IngestOptions::with_threads(4);
-    options.channel_chunks = 2;
     options.byte_ceiling = Some(8);
 
     let (done_tx, done_rx) = std::sync::mpsc::channel();
