@@ -38,7 +38,7 @@ use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 use std::time::Duration;
 
 /// A live snapshot of transport pressure, handed to [`Handler::admit`]
@@ -358,22 +358,29 @@ impl Shared {
 /// A cloneable handle onto a running server's live [`NetStats`], for
 /// consumers that are not the owner of the [`Server`] — e.g. the gateway
 /// surfacing transport counters on `GET /v1/stats`.
+///
+/// The handle does not keep the server alive: the server owns its
+/// handler, and a handler that held a strong handle back (the gateway
+/// does) would form a reference cycle that outlives both.
 #[derive(Clone)]
 pub struct StatsHandle {
-    shared: Arc<Shared>,
+    shared: Weak<Shared>,
 }
 
 impl StatsHandle {
-    /// A snapshot of the transport counters.
+    /// A snapshot of the transport counters; all zero once the server
+    /// has been dropped.
     pub fn snapshot(&self) -> NetStats {
-        self.shared.snapshot()
+        self.shared
+            .upgrade()
+            .map_or_else(NetStats::default, |shared| shared.snapshot())
     }
 }
 
 impl std::fmt::Debug for StatsHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StatsHandle")
-            .field("stats", &self.shared.snapshot())
+            .field("stats", &self.snapshot())
             .finish()
     }
 }
@@ -439,7 +446,7 @@ impl Server {
     /// server.
     pub fn stats_handle(&self) -> StatsHandle {
         StatsHandle {
-            shared: Arc::clone(&self.shared),
+            shared: Arc::downgrade(&self.shared),
         }
     }
 

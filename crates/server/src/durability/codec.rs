@@ -3,8 +3,9 @@
 //!
 //! # Frame layout
 //!
-//! Every record — WAL entry or spilled session payload — is written as one
-//! *frame*:
+//! Every record is written as one *frame*. WAL entries and spill-segment
+//! entries are the same [`WalRecord`]s; a segment entry is always a
+//! `Restore` carrying one [`SessionImage`]:
 //!
 //! ```text
 //! ┌──────────┬──────────┬──────────┬───────────────────┐
@@ -19,7 +20,9 @@
 //! past. Files open with a 16-byte header — an 8-byte magic
 //! ([`WAL_MAGIC`] / [`SEG_MAGIC`]) plus the universe fingerprint
 //! ([`jqi_core::Universe::fingerprint`]) — so recovery refuses logs from a
-//! different universe before replaying a single record.
+//! different universe before replaying a single record. The magic's
+//! trailing digit is the format version (currently 2); a file of any
+//! other version fails its header check instead of being misdecoded.
 //!
 //! # Torn tail vs corruption
 //!
@@ -38,9 +41,9 @@
 use jqi_core::{ClassId, Label, StrategyConfig};
 
 /// First 8 bytes of a WAL file.
-pub const WAL_MAGIC: [u8; 8] = *b"JQIWAL1\n";
+pub const WAL_MAGIC: [u8; 8] = *b"JQIWAL2\n";
 /// First 8 bytes of a spill segment file.
-pub const SEG_MAGIC: [u8; 8] = *b"JQISEG1\n";
+pub const SEG_MAGIC: [u8; 8] = *b"JQISEG2\n";
 /// File header: magic + universe fingerprint (both 8 bytes, LE).
 pub const FILE_HEADER_LEN: usize = 16;
 /// Frame header: `len | pcrc | hcrc`, each `u32` LE.
@@ -202,15 +205,32 @@ const TAG_CREATE: u8 = 1;
 const TAG_RESTORE: u8 = 2;
 const TAG_ANSWERS: u8 = 3;
 const TAG_QUESTION: u8 = 4;
-const TAG_HIBERNATE: u8 = 5;
+// Tag 5 was format 1's write-only `Hibernate` record; not reused.
 const TAG_SPILL: u8 = 6;
 const TAG_REMOVE: u8 = 7;
+
+/// A session's whole replay state: what a `Restore` record carries and
+/// what a spill segment holds per entry. Self-describing (carries the
+/// id), so a segment can be audited — or shipped to another shard —
+/// without the WAL that references it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SessionImage {
+    /// The session's id.
+    pub id: u64,
+    /// Its strategy configuration.
+    pub strategy: StrategyConfig,
+    /// Its outstanding question, if any.
+    pub pending: Option<ClassId>,
+    /// Its label history.
+    pub history: Vec<(ClassId, Label)>,
+}
 
 /// One logical WAL entry. Every mutation of the session table appends
 /// exactly one (plus `Question` when a strategy step selects a *new*
 /// candidate — pending questions are part of session state, so recovery
 /// must reproduce them; idempotent re-delivery of an outstanding question
-/// appends nothing).
+/// appends nothing). Parking a session changes no replay state and
+/// appends nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalRecord {
     /// `create_session(strategy)` handed out `id`.
@@ -220,17 +240,9 @@ pub enum WalRecord {
         /// Its strategy configuration.
         strategy: StrategyConfig,
     },
-    /// `restore(snapshot)` re-created `id` with its full replay state.
-    Restore {
-        /// The restored session's id.
-        id: u64,
-        /// The snapshot's strategy configuration.
-        strategy: StrategyConfig,
-        /// The snapshot's label history.
-        history: Vec<(ClassId, Label)>,
-        /// The snapshot's outstanding question.
-        pending: Option<ClassId>,
-    },
+    /// A session re-created with its full replay state: `restore`, the
+    /// migration checkpoint, and every spill-segment entry.
+    Restore(SessionImage),
     /// The suffix of labels an `answer_batch` actually applied (agreeing
     /// duplicates are not re-recorded; a failing batch still logs the
     /// prefix it applied before erroring, keeping log and state aligned).
@@ -247,22 +259,17 @@ pub enum WalRecord {
         /// The selected class.
         class: ClassId,
     },
-    /// The session parked into the hibernation tier.
-    Hibernate {
-        /// The parked session.
-        id: u64,
-    },
-    /// The session's parked payload was spilled to a segment; the WAL
-    /// entry is just the locator — the payload lives in the segment,
-    /// fsync'd before this record is appended.
+    /// The session's image was spilled to a segment; the WAL entry is
+    /// just the locator — the image lives in the segment, fsync'd before
+    /// this record is appended.
     Spill {
         /// The spilled session.
         id: u64,
         /// Segment file number.
         segment: u32,
-        /// Byte offset of the payload's frame within the segment.
+        /// Byte offset of the image's frame within the segment.
         offset: u64,
-        /// Length of the payload's frame in bytes.
+        /// Length of the image's frame in bytes.
         len: u32,
     },
     /// The session was removed.
@@ -403,18 +410,7 @@ impl WalRecord {
                 out.extend_from_slice(&id.to_le_bytes());
                 put_str(&mut out, &strategy.to_string());
             }
-            WalRecord::Restore {
-                id,
-                strategy,
-                history,
-                pending,
-            } => {
-                out.push(TAG_RESTORE);
-                out.extend_from_slice(&id.to_le_bytes());
-                put_str(&mut out, &strategy.to_string());
-                put_pending(&mut out, *pending);
-                put_history(&mut out, history);
-            }
+            WalRecord::Restore(image) => return image.encode(),
             WalRecord::Answers { id, answers } => {
                 out.push(TAG_ANSWERS);
                 out.extend_from_slice(&id.to_le_bytes());
@@ -424,10 +420,6 @@ impl WalRecord {
                 out.push(TAG_QUESTION);
                 out.extend_from_slice(&id.to_le_bytes());
                 put_class(&mut out, *class);
-            }
-            WalRecord::Hibernate { id } => {
-                out.push(TAG_HIBERNATE);
-                out.extend_from_slice(&id.to_le_bytes());
             }
             WalRecord::Spill {
                 id,
@@ -458,12 +450,12 @@ impl WalRecord {
                 id: r.u64()?,
                 strategy: r.strategy()?,
             },
-            TAG_RESTORE => WalRecord::Restore {
+            TAG_RESTORE => WalRecord::Restore(SessionImage {
                 id: r.u64()?,
                 strategy: r.strategy()?,
                 pending: r.pending()?,
                 history: r.history()?,
-            },
+            }),
             TAG_ANSWERS => WalRecord::Answers {
                 id: r.u64()?,
                 answers: r.history()?,
@@ -472,7 +464,6 @@ impl WalRecord {
                 id: r.u64()?,
                 class: r.u32()? as ClassId,
             },
-            TAG_HIBERNATE => WalRecord::Hibernate { id: r.u64()? },
             TAG_SPILL => WalRecord::Spill {
                 id: r.u64()?,
                 segment: r.u32()?,
@@ -487,43 +478,17 @@ impl WalRecord {
     }
 }
 
-/// The payload a hibernated session spills to a segment: its full replay
-/// state. Self-describing (carries the id), so a segment can be audited —
-/// or shipped to another shard — without the WAL that references it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpillPayload {
-    /// The spilled session's id.
-    pub id: u64,
-    /// Its strategy configuration.
-    pub strategy: StrategyConfig,
-    /// Its label history.
-    pub history: Vec<(ClassId, Label)>,
-    /// Its outstanding question, if any.
-    pub pending: Option<ClassId>,
-}
-
-impl SpillPayload {
-    /// Serializes the payload (the segment adds the frame).
+impl SessionImage {
+    /// Serializes the image as a whole `Restore` record payload (tag
+    /// included) — the bytes both the WAL and a spill segment frame.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16 + 5 * self.history.len());
+        out.push(TAG_RESTORE);
         out.extend_from_slice(&self.id.to_le_bytes());
         put_str(&mut out, &self.strategy.to_string());
         put_pending(&mut out, self.pending);
         put_history(&mut out, &self.history);
         out
-    }
-
-    /// Parses a payload (already CRC-validated by the frame).
-    pub fn decode(bytes: &[u8]) -> Result<SpillPayload, String> {
-        let mut r = Reader { bytes, at: 0 };
-        let payload = SpillPayload {
-            id: r.u64()?,
-            strategy: r.strategy()?,
-            pending: r.pending()?,
-            history: r.history()?,
-        };
-        r.finish()?;
-        Ok(payload)
     }
 }
 
@@ -611,18 +576,17 @@ mod tests {
                 id: 7,
                 strategy: StrategyConfig::Lks { depth: 2 },
             },
-            WalRecord::Restore {
+            WalRecord::Restore(SessionImage {
                 id: u64::MAX,
                 strategy: StrategyConfig::Rnd { seed: 99 },
                 history: vec![(3, Label::Positive), (0, Label::Negative)],
                 pending: Some(12),
-            },
+            }),
             WalRecord::Answers {
                 id: 1,
                 answers: vec![(5, Label::Negative)],
             },
             WalRecord::Question { id: 1, class: 9 },
-            WalRecord::Hibernate { id: 2 },
             WalRecord::Spill {
                 id: 3,
                 segment: 4,
@@ -639,13 +603,18 @@ mod tests {
 
     #[test]
     fn spill_payloads_round_trip() {
-        let payload = SpillPayload {
+        // A spill segment entry is the session image encoded as a whole
+        // `Restore` record; a parked session has no pending question.
+        let image = SessionImage {
             id: 42,
             strategy: StrategyConfig::Eg,
             history: vec![(1, Label::Negative), (2, Label::Positive)],
             pending: None,
         };
-        assert_eq!(SpillPayload::decode(&payload.encode()).unwrap(), payload);
+        assert_eq!(
+            WalRecord::decode(&image.encode()).unwrap(),
+            WalRecord::Restore(image)
+        );
     }
 
     #[test]

@@ -4,12 +4,17 @@
 //! Sessions are deterministic functions of tiny inputs — a strategy
 //! config, a label history, a pending question (`jqi-session/1`) — so
 //! durability never persists derived state: the WAL logs the *inputs* as
-//! they happen, the spill tier writes parked payloads to segment files,
+//! they happen, the spill tier writes parked sessions to segment files,
 //! and [`crate::SessionManager::recover`] rebuilds the fleet by the same
-//! replay path a hibernated session wakes through. Three pieces:
+//! replay path a hibernated session wakes through. Those inputs have one
+//! on-disk form, the [`SessionImage`] inside a [`WalRecord::Restore`]:
+//! `restore`, the migration checkpoint and every spill-segment entry
+//! write it, and one decoder reads it back. Parking a session changes
+//! none of the inputs, so it logs nothing. Three pieces:
 //!
-//! * [`codec`] — CRC32, length-prefixed checksummed frames, record
-//!   payloads, and the 16-byte file header stamping the **universe
+//! * [`codec`] — CRC32, length-prefixed checksummed frames, the record
+//!   encoding, and the 16-byte file header stamping the format version
+//!   (the magic, currently `JQIWAL2`/`JQISEG2`) and the **universe
 //!   fingerprint** ([`jqi_core::Universe::fingerprint`]) into every WAL
 //!   and segment file.
 //! * [`wal`] / [`segment`] — the injectable storage traits
@@ -34,8 +39,8 @@ pub mod recover;
 pub mod segment;
 pub mod wal;
 
-pub use codec::{SpillPayload, WalRecord};
-pub use recover::{RecoveredFleet, RecoveredSession, RecoveredTier};
+pub use codec::{SessionImage, WalRecord};
+pub use recover::{RecoveredFleet, RecoveredSession};
 pub use segment::{DirSegments, MemSegments, SegmentStore, SpillLocator, SpillStats, SpillStore};
 pub use wal::{CrashScript, Damage, FileWal, MemWal, Wal, WalStats, WalStorage};
 
@@ -75,7 +80,8 @@ impl Default for DurabilityConfig {
 pub enum DurabilityError {
     /// An underlying storage operation failed.
     Io(String),
-    /// A WAL or segment file header is malformed (wrong magic).
+    /// A WAL or segment file header is malformed (wrong magic — including
+    /// a file written in an older format version).
     BadHeader {
         /// What failed to parse.
         detail: String,
@@ -198,11 +204,11 @@ pub struct DurabilityStats {
     pub wal_syncs: u64,
     /// WAL bytes appended (frames included).
     pub wal_appended_bytes: u64,
-    /// Session payloads spilled to segments.
+    /// Session images spilled to segments.
     pub spill_entries: u64,
     /// Segment bytes written (frames included).
     pub spill_bytes_written: u64,
-    /// Spilled payloads read back (wakes and read-only serves).
+    /// Spilled images read back (wakes and read-only serves).
     pub spill_reads: u64,
 }
 

@@ -32,24 +32,11 @@ use std::collections::HashMap;
 use jqi_core::{ClassId, Label, StrategyConfig};
 
 use super::codec::{
-    next_frame, parse_file_header, FrameStep, SpillPayload, WalRecord, FILE_HEADER_LEN, SEG_MAGIC,
+    next_frame, parse_file_header, FrameStep, SessionImage, WalRecord, FILE_HEADER_LEN, SEG_MAGIC,
     WAL_MAGIC,
 };
 use super::segment::{read_payload_frame, SegmentStore, SpillLocator};
 use super::DurabilityError;
-
-/// Which tier a recovered session re-enters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecoveredTier {
-    /// Was resident at the crash: recovery re-parks it anyway (hibernated)
-    /// — the first touch re-materializes it, keeping recovery memory
-    /// proportional to histories, not derived state.
-    Resident,
-    /// Was parked in RAM.
-    Hibernated,
-    /// Was spilled to a segment; the locator still points at its payload.
-    Spilled(SpillLocator),
-}
 
 /// One session as the log describes it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,8 +47,11 @@ pub struct RecoveredSession {
     pub history: Vec<(ClassId, Label)>,
     /// Outstanding question.
     pub pending: Option<ClassId>,
-    /// Tier to re-enter.
-    pub tier: RecoveredTier,
+    /// Where the session's image still lives on disk, if it was spilled
+    /// and not touched since. Every other session re-enters the
+    /// hibernated tier: recovery memory stays proportional to histories,
+    /// not derived state.
+    pub spilled: Option<SpillLocator>,
 }
 
 /// The decoded fleet plus bookkeeping the manager needs to resume.
@@ -186,19 +176,19 @@ fn apply_record(
                     strategy,
                     history: Vec::new(),
                     pending: None,
-                    tier: RecoveredTier::Resident,
+                    spilled: None,
                 },
             );
             if prior.is_some() {
                 return Err(bad_log(offset, format!("duplicate create of session {id}")));
             }
         }
-        WalRecord::Restore {
+        WalRecord::Restore(SessionImage {
             id,
             strategy,
-            history,
             pending,
-        } => {
+            history,
+        }) => {
             fleet.next_id = fleet.next_id.max(id + 1);
             let prior = fleet.sessions.insert(
                 id,
@@ -206,7 +196,7 @@ fn apply_record(
                     strategy,
                     history,
                     pending,
-                    tier: RecoveredTier::Resident,
+                    spilled: None,
                 },
             );
             if prior.is_some() {
@@ -216,20 +206,16 @@ fn apply_record(
         WalRecord::Answers { id, answers } => match fleet.sessions.get_mut(&id) {
             Some(s) => {
                 s.history.extend_from_slice(&answers);
-                // Answering implies the session was materialized.
-                s.tier = RecoveredTier::Resident;
+                // The spilled image no longer holds the whole history.
+                s.spilled = None;
             }
             None => fleet.ignored_records += 1,
         },
         WalRecord::Question { id, class } => match fleet.sessions.get_mut(&id) {
             Some(s) => {
                 s.pending = Some(class);
-                s.tier = RecoveredTier::Resident;
+                s.spilled = None;
             }
-            None => fleet.ignored_records += 1,
-        },
-        WalRecord::Hibernate { id } => match fleet.sessions.get_mut(&id) {
-            Some(s) => s.tier = RecoveredTier::Hibernated,
             None => fleet.ignored_records += 1,
         },
         WalRecord::Spill {
@@ -238,7 +224,7 @@ fn apply_record(
             offset: seg_offset,
             len,
         } => {
-            // A spill record is the WAL's index entry: the payload in the
+            // A spill record is the WAL's index entry: the image in the
             // segment becomes the session's authoritative replay state
             // (later Answers/Question records append past it). The
             // referenced segment counts toward `max_segment` even when the
@@ -261,22 +247,22 @@ fn apply_record(
             if checked_segments.insert(segment, ()).is_none() {
                 check_segment_header(segments, segment, fingerprint)?;
             }
-            let payload = read_spill(segments, locator)?;
-            if payload.id != id {
+            let image = read_spill(segments, locator)?;
+            if image.id != id {
                 return Err(bad_log(
                     offset,
-                    format!("segment entry belongs to session {}, not {id}", payload.id),
+                    format!("segment entry belongs to session {}, not {id}", image.id),
                 ));
             }
-            if payload.strategy != s.strategy {
+            if image.strategy != s.strategy {
                 return Err(bad_log(
                     offset,
                     format!("spilled strategy diverges for session {id}"),
                 ));
             }
-            s.history = payload.history;
-            s.pending = payload.pending;
-            s.tier = RecoveredTier::Spilled(locator);
+            s.history = image.history;
+            s.pending = image.pending;
+            s.spilled = Some(locator);
         }
         WalRecord::Remove { id } => {
             if fleet.sessions.remove(&id).is_none() {
@@ -321,7 +307,7 @@ fn check_segment_header(
 fn read_spill(
     segments: &mut dyn SegmentStore,
     locator: SpillLocator,
-) -> Result<SpillPayload, DurabilityError> {
+) -> Result<SessionImage, DurabilityError> {
     let bytes = segments
         .read_at(locator.segment, locator.offset, locator.len)
         .map_err(|e| DurabilityError::CorruptSegment {
@@ -363,21 +349,20 @@ mod tests {
                 id: 1,
                 strategy: StrategyConfig::Td,
             },
-            WalRecord::Hibernate { id: 0 },
             WalRecord::Remove { id: 1 },
         ];
         let fleet = recover_fleet(&wal_image(&records, 5), &mut segs, 5).unwrap();
         assert_eq!(fleet.sessions.len(), 1);
         assert_eq!(fleet.next_id, 2);
-        assert_eq!(fleet.wal_records, 6);
+        assert_eq!(fleet.wal_records, 5);
         assert_eq!(fleet.wal_torn_bytes, 0);
         let s = &fleet.sessions[&0];
         assert_eq!(s.history, vec![(3, Label::Negative)]);
-        // The question was answered, then the session parked; the last
-        // Question record precedes the answer so pending stays recorded —
-        // replay's informativeness filter drops it at wake if moot.
+        // The last Question record precedes the answer, so pending stays
+        // recorded — replay's informativeness filter drops it at wake if
+        // moot.
         assert_eq!(s.pending, Some(3));
-        assert_eq!(s.tier, RecoveredTier::Hibernated);
+        assert_eq!(s.spilled, None);
     }
 
     #[test]
@@ -406,7 +391,7 @@ mod tests {
                     id: 0,
                     strategy: StrategyConfig::Bu,
                 },
-                WalRecord::Hibernate { id: 0 },
+                WalRecord::Remove { id: 0 },
             ],
             1,
         );
@@ -471,7 +456,7 @@ mod tests {
         let segs = MemSegments::new();
         let mut spill = SpillStore::new(Box::new(segs.clone()), 3, 0, 1 << 20).unwrap();
         let loc = spill
-            .append(&SpillPayload {
+            .append(&SessionImage {
                 id: 0,
                 strategy: StrategyConfig::Bu,
                 history: vec![(1, Label::Negative)],
@@ -524,7 +509,7 @@ mod tests {
     fn spill_records_swap_in_the_segment_payload() {
         let segs = MemSegments::new();
         let mut spill = SpillStore::new(Box::new(segs.clone()), 7, 0, 1 << 20).unwrap();
-        let payload = SpillPayload {
+        let payload = SessionImage {
             id: 0,
             strategy: StrategyConfig::Bu,
             history: vec![(2, Label::Positive), (5, Label::Negative)],
@@ -541,7 +526,6 @@ mod tests {
                 id: 0,
                 answers: vec![(2, Label::Positive), (5, Label::Negative)],
             },
-            WalRecord::Hibernate { id: 0 },
             WalRecord::Spill {
                 id: 0,
                 segment: loc.segment,
@@ -565,7 +549,7 @@ mod tests {
                 (7, Label::Negative)
             ]
         );
-        assert_eq!(s.tier, RecoveredTier::Resident, "post-spill answer woke it");
+        assert_eq!(s.spilled, None, "post-spill answer woke it");
         assert_eq!(fleet.max_segment, Some(0));
 
         // Same log against a store stamped with the wrong fingerprint.
@@ -577,6 +561,46 @@ mod tests {
         assert!(matches!(
             recover_fleet(&wal_image(&records, 7), &mut store, 7),
             Err(DurabilityError::FingerprintMismatch { found: 8, .. })
+        ));
+    }
+
+    #[test]
+    fn version_one_files_fail_their_header_check() {
+        let mut old = file_header(*b"JQIWAL1\n", 1).to_vec();
+        old.extend_from_slice(&frame(&WalRecord::Remove { id: 0 }.encode()));
+        assert!(matches!(
+            recover_fleet(&old, &mut MemSegments::new(), 1),
+            Err(DurabilityError::BadHeader { .. })
+        ));
+
+        // A current WAL pointing into a segment stamped with the old magic.
+        let segs = MemSegments::new();
+        let image = SessionImage {
+            id: 0,
+            strategy: StrategyConfig::Bu,
+            history: vec![],
+            pending: None,
+        };
+        let mut seg = file_header(*b"JQISEG1\n", 1).to_vec();
+        let entry = frame(&image.encode());
+        seg.extend_from_slice(&entry);
+        segs.set_segment_bytes(0, seg);
+        let records = [
+            WalRecord::Create {
+                id: 0,
+                strategy: StrategyConfig::Bu,
+            },
+            WalRecord::Spill {
+                id: 0,
+                segment: 0,
+                offset: FILE_HEADER_LEN as u64,
+                len: entry.len() as u32,
+            },
+        ];
+        let mut store = segs.clone();
+        assert!(matches!(
+            recover_fleet(&wal_image(&records, 1), &mut store, 1),
+            Err(DurabilityError::BadHeader { .. })
         ));
     }
 }

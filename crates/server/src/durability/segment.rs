@@ -1,12 +1,15 @@
 //! Append-only spill segments for the hibernation tier.
 //!
 //! Past the configured resident-bytes watermark, `sweep()` moves parked
-//! sessions' replay payloads out of RAM into *segment files*: append-only,
+//! sessions' replay state out of RAM into *segment files*: append-only,
 //! CRC-framed, capped at [`crate::durability::DurabilityConfig::segment_max_bytes`]
 //! and rotated by number (`segment-000000.seg`, `segment-000001.seg`, …).
 //! Each file opens with the [`super::codec::SEG_MAGIC`] header and the
 //! universe fingerprint; each entry is one framed
-//! [`super::codec::SpillPayload`]. The index is *in the WAL*: every spill
+//! [`WalRecord::Restore`] carrying the session's [`SessionImage`] — the
+//! same record, byte for byte, the WAL would hold, so one decoder reads
+//! both files. A segment frame holding any other record is corruption.
+//! The index is *in the WAL*: every spill
 //! appends a `Spill { id, segment, offset, len }` record, so waking a
 //! spilled session is a single positioned read + checksum + replay, and
 //! recovery never scans segments — it reads exactly the entries the WAL
@@ -23,15 +26,15 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use super::codec::{file_header, frame, next_frame, FrameStep, SpillPayload, SEG_MAGIC};
+use super::codec::{file_header, frame, next_frame, FrameStep, SessionImage, WalRecord, SEG_MAGIC};
 use super::DurabilityError;
 
-/// Where a spilled session's payload lives.
+/// Where a spilled session's image lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpillLocator {
     /// Segment number.
     pub segment: u32,
-    /// Byte offset of the payload's frame within the segment file.
+    /// Byte offset of the image's frame within the segment file.
     pub offset: u64,
     /// Byte length of the frame.
     pub len: u32,
@@ -201,7 +204,7 @@ impl SegmentStore for MemSegments {
 /// Running counters of one [`SpillStore`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpillStats {
-    /// Payloads spilled.
+    /// Session images spilled.
     pub entries_written: u64,
     /// Bytes appended to segments (frames included).
     pub bytes_written: u64,
@@ -211,8 +214,8 @@ pub struct SpillStats {
     pub segments_opened: u64,
 }
 
-/// The writing side of the spill tier: appends framed payloads to the
-/// current segment, rotating past `max_bytes`.
+/// The writing side of the spill tier: appends framed session images to
+/// the current segment, rotating past `max_bytes`.
 pub struct SpillStore {
     store: Box<dyn SegmentStore>,
     fingerprint: u64,
@@ -257,12 +260,12 @@ impl SpillStore {
         Ok(())
     }
 
-    /// Appends one payload (rotating first if it would overflow the
-    /// current segment); **not** synced — call [`Self::sync`] before the
-    /// WAL record referencing the entry is appended, so a committed
-    /// locator never points at unsynced bytes.
-    pub fn append(&mut self, payload: &SpillPayload) -> std::io::Result<SpillLocator> {
-        let framed = frame(&payload.encode());
+    /// Appends one image as a framed `Restore` record (rotating first if
+    /// it would overflow the current segment); **not** synced — call
+    /// [`Self::sync`] before the WAL record referencing the entry is
+    /// appended, so a committed locator never points at unsynced bytes.
+    pub fn append(&mut self, image: &SessionImage) -> std::io::Result<SpillLocator> {
+        let framed = frame(&image.encode());
         if self.current_len + framed.len() as u64 > self.max_bytes
             && self.current_len > super::codec::FILE_HEADER_LEN as u64
         {
@@ -302,8 +305,8 @@ impl SpillStore {
         Ok(())
     }
 
-    /// Reads one spilled payload back, re-verifying its frame checksum.
-    pub fn read(&mut self, locator: SpillLocator) -> Result<SpillPayload, DurabilityError> {
+    /// Reads one spilled image back, re-verifying its frame checksum.
+    pub fn read(&mut self, locator: SpillLocator) -> Result<SessionImage, DurabilityError> {
         let bytes = self
             .store
             .read_at(locator.segment, locator.offset, locator.len)
@@ -323,11 +326,11 @@ impl SpillStore {
     }
 }
 
-/// Validates and decodes one framed [`SpillPayload`] read at `locator`.
+/// Validates and decodes the framed `Restore` record read at `locator`.
 pub fn read_payload_frame(
     bytes: &[u8],
     locator: SpillLocator,
-) -> Result<SpillPayload, DurabilityError> {
+) -> Result<SessionImage, DurabilityError> {
     let corrupt = |detail: String| DurabilityError::CorruptSegment {
         segment: locator.segment,
         offset: locator.offset,
@@ -335,7 +338,10 @@ pub fn read_payload_frame(
     };
     match next_frame(bytes, 0) {
         FrameStep::Record { payload, next } if next == bytes.len() => {
-            SpillPayload::decode(payload).map_err(corrupt)
+            match WalRecord::decode(payload).map_err(corrupt)? {
+                WalRecord::Restore(image) => Ok(image),
+                _ => Err(corrupt("entry is not a Restore record".into())),
+            }
         }
         FrameStep::Record { .. } => Err(corrupt("locator length exceeds its frame".into())),
         FrameStep::CleanEnd | FrameStep::TornTail => Err(corrupt(
@@ -350,8 +356,8 @@ mod tests {
     use super::*;
     use jqi_core::{Label, StrategyConfig};
 
-    fn payload(id: u64, n: usize) -> SpillPayload {
-        SpillPayload {
+    fn payload(id: u64, n: usize) -> SessionImage {
+        SessionImage {
             id,
             strategy: StrategyConfig::Bu,
             history: (0..n).map(|c| (c, Label::Negative)).collect(),
@@ -405,6 +411,23 @@ mod tests {
         let flip = loc.offset as usize + loc.len as usize - 1;
         bytes[flip] ^= 0x10;
         mem.set_segment_bytes(0, bytes);
+        assert!(matches!(
+            spill.read(loc),
+            Err(DurabilityError::CorruptSegment { segment: 0, .. })
+        ));
+    }
+
+    #[test]
+    fn entries_framing_other_records_are_corrupt() {
+        let mem = MemSegments::new();
+        let mut spill = SpillStore::new(Box::new(mem.clone()), 1, 0, 1 << 20).unwrap();
+        let framed = frame(&WalRecord::Remove { id: 9 }.encode());
+        let offset = mem.clone().append(0, &framed).unwrap();
+        let loc = SpillLocator {
+            segment: 0,
+            offset,
+            len: framed.len() as u32,
+        };
         assert!(matches!(
             spill.read(loc),
             Err(DurabilityError::CorruptSegment { segment: 0, .. })

@@ -341,8 +341,8 @@ impl Wal {
     /// Resets the log to an empty file stamped with `fingerprint`,
     /// discarding any unflushed batch — the universe-migration path. The
     /// caller immediately re-logs the whole fleet as `Restore` records (a
-    /// checkpoint), so everything the discarded records described is
-    /// captured by what follows the fresh header.
+    /// checkpoint of session images), so everything the discarded records
+    /// described is captured by what follows the fresh header.
     pub fn reset(&mut self, fingerprint: u64) -> std::io::Result<()> {
         self.batch.clear();
         self.dirty = 0;
@@ -409,7 +409,7 @@ mod tests {
         let mem = MemWal::new();
         let mut wal = Wal::create(Box::new(mem.clone()), 1, 4).unwrap();
         for id in 0..10 {
-            wal.append(&WalRecord::Hibernate { id }).unwrap();
+            wal.append(&WalRecord::Remove { id }).unwrap();
         }
         assert_eq!(wal.stats().records, 10);
         assert_eq!(wal.stats().syncs, 2, "10 records / group of 4");
@@ -465,11 +465,12 @@ mod tests {
         // the batch a later commit would flush.
         assert_eq!(wal.stats().records, 0);
         mem.set_io_failing(false);
-        wal.append(&WalRecord::Hibernate { id: 1 }).unwrap();
+        wal.append(&WalRecord::Question { id: 1, class: 2 })
+            .unwrap();
         wal.commit().unwrap();
         assert_eq!(
             read_records(&mem.durable_image()),
-            vec![WalRecord::Hibernate { id: 1 }],
+            vec![WalRecord::Question { id: 1, class: 2 }],
             "the unwound Remove must not resurface in the log"
         );
     }

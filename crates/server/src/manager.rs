@@ -20,10 +20,10 @@
 //! concurrent workers (agreeing duplicates are idempotent; contradictions
 //! surface as [`InferenceError::ConflictingLabel`]).
 
-use crate::durability::recover::{recover_fleet, RecoveredTier};
+use crate::durability::recover::recover_fleet;
 use crate::durability::{
     DirSegments, DurabilityConfig, DurabilityError, DurabilityStats, FileWal, RecoveryReport,
-    SegmentStore, SpillLocator, SpillPayload, SpillStore, Wal, WalRecord, WalStorage,
+    SegmentStore, SessionImage, SpillLocator, SpillStore, Wal, WalRecord, WalStorage,
 };
 use crate::snapshot::SessionSnapshot;
 use jqi_core::session::{Candidate, OwnedSession};
@@ -190,14 +190,41 @@ enum Tier {
         pending: Option<ClassId>,
     },
     /// Spilled to a segment file: RAM holds only the locator (and the
-    /// history length, so metrics never touch the disk). The payload —
-    /// history + pending — is read back from the segment on the next
-    /// touch; only a manager with a durability tier can hold this
+    /// history length, so metrics never touch the disk). The session
+    /// image — history + pending — is read back from the segment on the
+    /// next touch; only a manager with a durability tier can hold this
     /// variant.
     Spilled {
         locator: SpillLocator,
         history_len: usize,
     },
+}
+
+impl Tier {
+    /// Parks a materialized session: its derived masks and strategy
+    /// object are dropped and the replay log is `shrink_to_fit`-ed, so
+    /// the parked tier holds exactly the log.
+    fn parked(session: OwnedSession) -> Tier {
+        let (mut history, pending) = session.into_replay_parts();
+        history.shrink_to_fit();
+        Tier::Hibernated { history, pending }
+    }
+
+    /// RAM footprint: a resident session's full footprint, or a parked
+    /// session's replay log (by allocation capacity) plus the pending
+    /// marker. A spilled slot's locator is counted nowhere. (The strategy
+    /// config is carried by every slot in every tier, so it is excluded
+    /// on all sides.)
+    fn ram_bytes(&self) -> usize {
+        match self {
+            Tier::Resident(session) => session.resident_bytes(),
+            Tier::Hibernated { history, .. } => {
+                history.capacity() * std::mem::size_of::<(ClassId, Label)>()
+                    + std::mem::size_of::<Option<ClassId>>()
+            }
+            Tier::Spilled { .. } => 0,
+        }
+    }
 }
 
 /// One session table slot: the strategy config (needed to snapshot and to
@@ -239,39 +266,23 @@ impl Slot {
         }
     }
 
-    /// Parks a resident session, dropping its derived masks and strategy
-    /// object; returns `(resident_bytes_freed, hibernated_bytes_added)`
-    /// when a transition happened, `None` otherwise (already parked or
-    /// spilled).
+    /// Parks a resident session ([`Tier::parked`]); returns
+    /// `(resident_bytes_freed, hibernated_bytes_added)` when a transition
+    /// happened, `None` otherwise (already parked or spilled).
     fn hibernate(&mut self) -> Option<(usize, usize)> {
         if !matches!(self.tier, Tier::Resident(_)) {
             return None;
         }
-        let tier = std::mem::replace(
-            &mut self.tier,
-            Tier::Hibernated {
-                history: Vec::new(),
-                pending: None,
-            },
-        );
-        let Tier::Resident(session) = tier else {
+        let freed = self.tier.ram_bytes();
+        let placeholder = Tier::Hibernated {
+            history: Vec::new(),
+            pending: None,
+        };
+        let Tier::Resident(session) = std::mem::replace(&mut self.tier, placeholder) else {
             unreachable!("checked above");
         };
-        let freed = session.resident_bytes();
-        let (mut history, pending) = session.into_replay_parts();
-        history.shrink_to_fit();
-        let added = Slot::hibernated_bytes(&history);
-        self.tier = Tier::Hibernated { history, pending };
-        Some((freed, added))
-    }
-
-    /// Resident bytes of a parked session: the replay log (by allocation
-    /// capacity — equal to its length after the shrink on entry) plus the
-    /// pending marker. (The strategy config is carried by every slot in
-    /// either tier, so it is excluded from the comparison on both sides.)
-    fn hibernated_bytes(history: &Vec<(ClassId, Label)>) -> usize {
-        history.capacity() * std::mem::size_of::<(ClassId, Label)>()
-            + std::mem::size_of::<Option<ClassId>>()
+        self.tier = Tier::parked(*session);
+        Some((freed, self.tier.ram_bytes()))
     }
 }
 
@@ -377,10 +388,11 @@ struct DurabilityState {
 
 impl DurabilityState {
     fn log(&self, record: &WalRecord) -> Result<()> {
-        self.wal
+        Ok(self
+            .wal
             .lock()
             .append(record)
-            .map_err(|e| ServerError::Durability(DurabilityError::Io(e.to_string())))
+            .map_err(DurabilityError::from)?)
     }
 }
 
@@ -573,19 +585,17 @@ impl SessionManager {
             )
             .map_err(|error| DurabilityError::Replay { session: id, error })?;
             report.replayed_answers += recovered.history.len() as u64;
-            let (mut history, pending) = session.into_replay_parts();
-            let tier = match recovered.tier {
-                RecoveredTier::Spilled(locator) => {
+            let tier = match recovered.spilled {
+                Some(locator) => {
                     report.spilled += 1;
                     Tier::Spilled {
                         locator,
-                        history_len: history.len(),
+                        history_len: session.history().len(),
                     }
                 }
-                RecoveredTier::Resident | RecoveredTier::Hibernated => {
+                None => {
                     report.hibernated += 1;
-                    history.shrink_to_fit();
-                    Tier::Hibernated { history, pending }
+                    Tier::parked(session)
                 }
             };
             report.sessions += 1;
@@ -676,29 +686,24 @@ impl SessionManager {
             decision_cache: serving.universe.decision_cache_stats(),
             ..ManagerStats::default()
         };
-        for shard in self.shards.iter() {
-            // Clone the slot handles out so the shard lock is not held
-            // while session mutexes are taken.
-            let slots: Vec<Arc<Mutex<Slot>>> = shard.read().values().cloned().collect();
-            for slot in slots {
-                let guard = slot.lock();
-                stats.sessions += 1;
-                match &guard.tier {
-                    Tier::Resident(session) => {
-                        stats.resident_sessions += 1;
-                        stats.state_bytes += session.state_bytes();
-                        stats.resident_bytes += session.resident_bytes();
-                        stats.history_bytes += std::mem::size_of_val(session.history());
-                    }
-                    Tier::Hibernated { history, .. } => {
-                        stats.hibernated_sessions += 1;
-                        stats.history_bytes += std::mem::size_of_val(&history[..]);
-                        stats.hibernated_bytes += Slot::hibernated_bytes(history);
-                    }
-                    Tier::Spilled { locator, .. } => {
-                        stats.spilled_sessions += 1;
-                        stats.spilled_bytes += locator.len as usize;
-                    }
+        for (_, slot) in self.slot_handles() {
+            let guard = slot.lock();
+            stats.sessions += 1;
+            match &guard.tier {
+                Tier::Resident(session) => {
+                    stats.resident_sessions += 1;
+                    stats.state_bytes += session.state_bytes();
+                    stats.resident_bytes += session.resident_bytes();
+                    stats.history_bytes += std::mem::size_of_val(session.history());
+                }
+                Tier::Hibernated { history, .. } => {
+                    stats.hibernated_sessions += 1;
+                    stats.history_bytes += std::mem::size_of_val(&history[..]);
+                    stats.hibernated_bytes += guard.tier.ram_bytes();
+                }
+                Tier::Spilled { locator, .. } => {
+                    stats.spilled_sessions += 1;
+                    stats.spilled_bytes += locator.len as usize;
                 }
             }
         }
@@ -729,27 +734,42 @@ impl SessionManager {
             .ok_or(ServerError::UnknownSession(id))
     }
 
+    /// Every live slot handle with its id, cloned out one shard at a time
+    /// so no shard lock is held while the caller takes session mutexes.
+    fn slot_handles(&self) -> impl Iterator<Item = (SessionId, Arc<Mutex<Slot>>)> + '_ {
+        self.shards.iter().flat_map(|shard| {
+            shard
+                .read()
+                .iter()
+                .map(|(&id, slot)| (id, Arc::clone(slot)))
+                .collect::<Vec<_>>()
+        })
+    }
+
     /// Lifts a spilled slot back into the hibernated tier (one positioned
-    /// segment read, checksum re-verified) and returns the materialized
-    /// session. The wake itself appends nothing to the WAL: the session's
-    /// replay state is unchanged — which tier held it is a RAM detail the
-    /// log only learns about at the next answer/question/spill.
+    /// segment read, checksum re-verified); other tiers are left as they
+    /// are. Appends nothing to the WAL: the session's replay state is
+    /// unchanged — which tier holds it is a RAM detail the log only
+    /// learns about at the next answer/question/spill.
+    fn lift(&self, slot: &mut Slot) -> Result<()> {
+        if let Tier::Spilled { locator, .. } = slot.tier {
+            let image = self.read_spilled(locator)?;
+            slot.tier = Tier::Hibernated {
+                history: image.history,
+                pending: image.pending,
+            };
+        }
+        Ok(())
+    }
+
+    /// The materialized session, lifting and re-materializing a parked
+    /// slot first.
     fn materialize<'a>(
         &self,
         universe: &Arc<Universe>,
         guard: &'a mut Slot,
     ) -> Result<&'a mut OwnedSession> {
-        if let Tier::Spilled { locator, .. } = guard.tier {
-            let state = self
-                .durability
-                .as_ref()
-                .expect("spilled tier only exists under a durability tier");
-            let payload = state.spill.lock().read(locator)?;
-            guard.tier = Tier::Hibernated {
-                history: payload.history,
-                pending: payload.pending,
-            };
-        }
+        self.lift(guard)?;
         Ok(guard.session(universe))
     }
 
@@ -962,29 +982,35 @@ impl SessionManager {
     pub fn snapshot(&self, id: SessionId) -> Result<SessionSnapshot> {
         let serving = self.serving.read();
         let slot = self.slot(id)?;
-        let guard = slot.lock();
-        let (history, pending) = match &guard.tier {
-            Tier::Resident(session) => (session.history().to_vec(), session.pending_class()),
-            Tier::Hibernated { history, pending } => (history.clone(), *pending),
-            // A spilled session's snapshot is read straight off its
-            // segment frame — still no wake, still no touch.
-            Tier::Spilled { locator, .. } => {
-                let payload = self.read_spilled(*locator)?;
-                (payload.history, payload.pending)
-            }
-        };
+        let image = self.image(id, &slot.lock())?;
         Ok(SessionSnapshot {
             session: id,
-            strategy: guard.config.clone(),
-            history,
-            pending,
+            strategy: image.strategy,
+            history: image.history,
+            pending: image.pending,
             universe: Some(serving.fingerprint),
         })
     }
 
-    /// Reads one spilled payload back through the spill store (slot mutex
+    /// The slot's session image, whatever its tier — a spilled one is
+    /// read straight off its segment frame, without a wake or a touch.
+    fn image(&self, id: SessionId, slot: &Slot) -> Result<SessionImage> {
+        let (history, pending) = match &slot.tier {
+            Tier::Resident(session) => (session.history().to_vec(), session.pending_class()),
+            Tier::Hibernated { history, pending } => (history.clone(), *pending),
+            Tier::Spilled { locator, .. } => return self.read_spilled(*locator),
+        };
+        Ok(SessionImage {
+            id,
+            strategy: slot.config.clone(),
+            pending,
+            history,
+        })
+    }
+
+    /// Reads one spilled image back through the spill store (slot mutex
     /// already held by the caller — spill after slot is the lock order).
-    fn read_spilled(&self, locator: SpillLocator) -> Result<SpillPayload> {
+    fn read_spilled(&self, locator: SpillLocator) -> Result<SessionImage> {
         let state = self
             .durability
             .as_ref()
@@ -1019,12 +1045,12 @@ impl SessionManager {
         self.insert_logged(
             id,
             Slot::resident(snapshot.strategy.clone(), session),
-            Some(&WalRecord::Restore {
+            Some(&WalRecord::Restore(SessionImage {
                 id,
                 strategy: snapshot.strategy.clone(),
-                history: snapshot.history.clone(),
                 pending: snapshot.pending,
-            }),
+                history: snapshot.history.clone(),
+            })),
         )?;
         self.next_id.fetch_max(id + 1, Ordering::Relaxed);
         Ok(id)
@@ -1041,53 +1067,35 @@ impl SessionManager {
     /// re-materializes them lazily, and [`Self::snapshot`] serves them
     /// without waking. Sessions busy under another thread's operation are
     /// still swept afterwards — the sweep takes each session mutex in
-    /// turn. Durable managers log one `Hibernate` record per park and
-    /// share one fsync across the whole pass.
+    /// turn. Parking changes no replay state, so durable managers log
+    /// nothing for it.
     pub fn hibernate_idle(&self, ttl: Duration) -> Result<SweepReport> {
         let _serving = self.serving.read();
         let mut report = SweepReport::default();
-        self.park_idle(ttl, &mut report)?;
-        self.commit_wal()?;
+        self.park_idle(ttl, &mut report);
         Ok(report)
     }
 
-    fn park_idle(&self, ttl: Duration, report: &mut SweepReport) -> Result<()> {
-        for shard in self.shards.iter() {
-            let slots: Vec<(SessionId, Arc<Mutex<Slot>>)> = shard
-                .read()
-                .iter()
-                .map(|(&id, slot)| (id, Arc::clone(slot)))
-                .collect();
-            for (id, slot) in slots {
-                let mut guard = slot.lock();
-                if guard.last_touch.elapsed() < ttl {
-                    continue;
-                }
-                if let Some((freed, added)) = guard.hibernate() {
-                    report.parked += 1;
-                    report.resident_bytes_freed += freed;
-                    report.hibernated_bytes_added += added;
-                    if let Some(state) = &self.durability {
-                        state.log(&WalRecord::Hibernate { id })?;
-                    }
-                }
+    fn park_idle(&self, ttl: Duration, report: &mut SweepReport) {
+        for (_, slot) in self.slot_handles() {
+            let mut guard = slot.lock();
+            if guard.last_touch.elapsed() < ttl {
+                continue;
+            }
+            if let Some((freed, added)) = guard.hibernate() {
+                report.parked += 1;
+                report.resident_bytes_freed += freed;
+                report.hibernated_bytes_added += added;
             }
         }
-        Ok(())
     }
 
     /// Force-parks one session regardless of idle time; returns whether it
-    /// was resident. Not a touch.
+    /// was resident. Not a touch, and not logged.
     pub fn hibernate(&self, id: SessionId) -> Result<bool> {
         let _serving = self.serving.read();
         let slot = self.slot(id)?;
-        let mut guard = slot.lock();
-        let parked = guard.hibernate().is_some();
-        if parked {
-            if let Some(state) = &self.durability {
-                state.log(&WalRecord::Hibernate { id })?;
-            }
-        }
+        let parked = slot.lock().hibernate().is_some();
         Ok(parked)
     }
 
@@ -1106,7 +1114,7 @@ impl SessionManager {
         let _serving = self.serving.read();
         let mut report = SweepReport::default();
         if let Some(ttl) = self.config.hibernate_ttl {
-            self.park_idle(ttl, &mut report)?;
+            self.park_idle(ttl, &mut report);
         }
         self.spill_to_watermark(&mut report)?;
         self.commit_wal()?;
@@ -1124,22 +1132,11 @@ impl SessionManager {
         // (oldest idle first — the sessions least likely to wake soon).
         let mut total = 0usize;
         let mut candidates: Vec<(Instant, SessionId, Arc<Mutex<Slot>>)> = Vec::new();
-        for shard in self.shards.iter() {
-            let slots: Vec<(SessionId, Arc<Mutex<Slot>>)> = shard
-                .read()
-                .iter()
-                .map(|(&id, slot)| (id, Arc::clone(slot)))
-                .collect();
-            for (id, slot) in slots {
-                let guard = slot.lock();
-                match &guard.tier {
-                    Tier::Resident(session) => total += session.resident_bytes(),
-                    Tier::Hibernated { history, .. } => {
-                        total += Slot::hibernated_bytes(history);
-                        candidates.push((guard.last_touch, id, Arc::clone(&slot)));
-                    }
-                    Tier::Spilled { .. } => {}
-                }
+        for (id, slot) in self.slot_handles() {
+            let guard = slot.lock();
+            total += guard.tier.ram_bytes();
+            if matches!(guard.tier, Tier::Hibernated { .. }) {
+                candidates.push((guard.last_touch, id, Arc::clone(&slot)));
             }
         }
         candidates.sort_by_key(|&(touch, _, _)| touch);
@@ -1150,22 +1147,15 @@ impl SessionManager {
             let mut guard = slot.lock();
             // Re-check under the lock: the session may have woken (or
             // been spilled by a racing sweep) since the metering pass.
-            let Tier::Hibernated { history, pending } = &guard.tier else {
+            if !matches!(guard.tier, Tier::Hibernated { .. }) {
                 continue;
-            };
-            let payload = SpillPayload {
-                id,
-                strategy: guard.config.clone(),
-                history: history.clone(),
-                pending: *pending,
-            };
-            let freed = Slot::hibernated_bytes(history);
+            }
+            let image = self.image(id, &guard)?;
+            let freed = guard.tier.ram_bytes();
             let locator = {
                 let mut spill = state.spill.lock();
-                let locator = spill
-                    .append(&payload)
-                    .map_err(|e| ServerError::Durability(DurabilityError::Io(e.to_string())))?;
-                // The payload must be durable before its locator can reach
+                let locator = spill.append(&image).map_err(DurabilityError::from)?;
+                // The image must be durable before its locator can reach
                 // the log: `Wal::append` group-commits on its own schedule
                 // (this pass's quota, or a concurrent answer's), so the
                 // Spill record below may be written *and fsynced* at any
@@ -1175,9 +1165,7 @@ impl SessionManager {
                 // power loss as well as process death. (`sync` is a no-op
                 // when nothing is unsynced, so back-to-back spills into
                 // one segment cost one fsync each, never more.)
-                spill
-                    .sync()
-                    .map_err(|e| ServerError::Durability(DurabilityError::Io(e.to_string())))?;
+                spill.sync().map_err(DurabilityError::from)?;
                 locator
             };
             // The Spill record is appended while the session mutex is
@@ -1191,7 +1179,7 @@ impl SessionManager {
             })?;
             guard.tier = Tier::Spilled {
                 locator,
-                history_len: payload.history.len(),
+                history_len: image.history.len(),
             };
             report.spilled += 1;
             report.hibernated_bytes_freed += freed;
@@ -1215,11 +1203,7 @@ impl SessionManager {
     /// sweeps, and `migrate` under the write half).
     fn commit_wal(&self) -> Result<()> {
         if let Some(state) = &self.durability {
-            state
-                .wal
-                .lock()
-                .commit()
-                .map_err(|e| ServerError::Durability(DurabilityError::Io(e.to_string())))?;
+            state.wal.lock().commit().map_err(DurabilityError::from)?;
         }
         Ok(())
     }
@@ -1293,64 +1277,44 @@ impl SessionManager {
             out
         };
         let mut doomed: Vec<SessionId> = Vec::new();
-        for shard in self.shards.iter() {
-            let slots: Vec<(SessionId, Arc<Mutex<Slot>>)> = shard
-                .read()
-                .iter()
-                .map(|(&id, slot)| (id, Arc::clone(slot)))
-                .collect();
-            for (id, slot) in slots {
-                let mut guard = slot.lock();
-                report.sessions += 1;
-                // Lift a spilled slot into RAM first: its segment home is
-                // abandoned by the log reset below.
-                if let Tier::Spilled { locator, .. } = guard.tier {
-                    let state = self
-                        .durability
-                        .as_ref()
-                        .expect("spilled tier only exists under a durability tier");
-                    let payload = state.spill.lock().read(locator)?;
-                    guard.tier = Tier::Hibernated {
-                        history: payload.history,
-                        pending: payload.pending,
-                    };
-                }
-                let slot_ref: &mut Slot = &mut guard;
-                match &mut slot_ref.tier {
-                    Tier::Resident(session) => {
-                        match session.rebind(Arc::clone(&universe), &slot_ref.config) {
-                            Ok(r) => {
-                                if r.carried_masks {
-                                    report.carried += 1;
-                                } else {
-                                    report.replayed += 1;
-                                }
-                                report.dropped_labels += r.dropped_labels;
-                            }
-                            Err(_) => doomed.push(id),
-                        }
-                    }
-                    Tier::Hibernated { history, pending } => {
-                        let remapped = remap(history, &mut report.dropped_labels);
-                        let pending =
-                            pending.and_then(|c| universe.class_for_signature(old.sig(c)));
-                        match OwnedSession::replay(
-                            Arc::clone(&universe),
-                            &slot_ref.config,
-                            &remapped,
-                            pending,
-                        ) {
-                            Ok(session) => {
-                                let (mut history, pending) = session.into_replay_parts();
-                                history.shrink_to_fit();
-                                slot_ref.tier = Tier::Hibernated { history, pending };
+        for (id, slot) in self.slot_handles() {
+            let mut guard = slot.lock();
+            report.sessions += 1;
+            // Lift a spilled slot into RAM first: its segment home is
+            // abandoned by the log reset below.
+            self.lift(&mut guard)?;
+            let slot_ref: &mut Slot = &mut guard;
+            match &mut slot_ref.tier {
+                Tier::Resident(session) => {
+                    match session.rebind(Arc::clone(&universe), &slot_ref.config) {
+                        Ok(r) => {
+                            if r.carried_masks {
+                                report.carried += 1;
+                            } else {
                                 report.replayed += 1;
                             }
-                            Err(_) => doomed.push(id),
+                            report.dropped_labels += r.dropped_labels;
                         }
+                        Err(_) => doomed.push(id),
                     }
-                    Tier::Spilled { .. } => unreachable!("lifted above"),
                 }
+                Tier::Hibernated { history, pending } => {
+                    let remapped = remap(history, &mut report.dropped_labels);
+                    let pending = pending.and_then(|c| universe.class_for_signature(old.sig(c)));
+                    match OwnedSession::replay(
+                        Arc::clone(&universe),
+                        &slot_ref.config,
+                        &remapped,
+                        pending,
+                    ) {
+                        Ok(session) => {
+                            slot_ref.tier = Tier::parked(session);
+                            report.replayed += 1;
+                        }
+                        Err(_) => doomed.push(id),
+                    }
+                }
+                Tier::Spilled { .. } => unreachable!("lifted above"),
             }
         }
         for &id in &doomed {
@@ -1363,41 +1327,25 @@ impl SessionManager {
         serving.universe = Arc::clone(&universe);
         serving.fingerprint = universe.fingerprint();
         if let Some(state) = &self.durability {
-            let io =
-                |e: std::io::Error| ServerError::Durability(DurabilityError::Io(e.to_string()));
             state
                 .spill
                 .lock()
                 .restamp(serving.fingerprint)
-                .map_err(io)?;
+                .map_err(DurabilityError::from)?;
             // Locking slots while holding the WAL mutex inverts the usual
             // order, but the serving write lock has quiesced every path
             // that takes them the other way around.
             let mut wal = state.wal.lock();
-            wal.reset(serving.fingerprint).map_err(io)?;
-            for shard in self.shards.iter() {
-                let slots: Vec<(SessionId, Arc<Mutex<Slot>>)> = shard
-                    .read()
-                    .iter()
-                    .map(|(&id, slot)| (id, Arc::clone(slot)))
-                    .collect();
-                for (id, slot) in slots {
-                    let guard = slot.lock();
-                    let (history, pending) = match &guard.tier {
-                        Tier::Resident(s) => (s.history().to_vec(), s.pending_class()),
-                        Tier::Hibernated { history, pending } => (history.clone(), *pending),
-                        Tier::Spilled { .. } => unreachable!("lifted above"),
-                    };
-                    wal.append(&WalRecord::Restore {
-                        id,
-                        strategy: guard.config.clone(),
-                        history,
-                        pending,
-                    })
-                    .map_err(io)?;
-                }
+            wal.reset(serving.fingerprint)
+                .map_err(DurabilityError::from)?;
+            // Nothing is spilled any more, so no image read takes the
+            // spill mutex behind the WAL's.
+            for (id, slot) in self.slot_handles() {
+                let image = self.image(id, &slot.lock())?;
+                wal.append(&WalRecord::Restore(image))
+                    .map_err(DurabilityError::from)?;
             }
-            wal.commit().map_err(io)?;
+            wal.commit().map_err(DurabilityError::from)?;
         }
         Ok(report)
     }
@@ -1933,6 +1881,30 @@ mod tests {
             drive(&r, id, &goal);
             assert!(r.is_done(id).unwrap());
         }
+    }
+
+    #[test]
+    fn parking_appends_nothing_to_the_wal() {
+        let universe = Arc::new(Universe::build(flight_hotel()));
+        let (m, _) = durable_pair(
+            &universe,
+            MemWal::new(),
+            MemSegments::new(),
+            DurabilityConfig::default(),
+        );
+        let ids: Vec<SessionId> = (0..3)
+            .map(|_| {
+                let id = m.create_session(StrategyConfig::Bu).unwrap();
+                m.next_question(id).unwrap();
+                id
+            })
+            .collect();
+        let records = || m.stats().durability.unwrap().wal_records;
+        let before = records();
+        assert!(m.hibernate(ids[0]).unwrap());
+        assert_eq!(records(), before, "hibernate(id) logged a record");
+        assert_eq!(m.hibernate_idle(Duration::ZERO).unwrap().parked, 2);
+        assert_eq!(records(), before, "hibernate_idle logged a record");
     }
 
     #[test]

@@ -13,9 +13,9 @@ use jqi_server::json::Json;
 use jqi_server::{DurabilityConfig, ServerConfig, SessionManager};
 use std::sync::Arc;
 
-/// A loopback server with universe `demo` (flight/hotel) and a second
-/// tenant `twin` sharing the same instance (same fingerprint).
-fn demo_server() -> (jqi_net::Server, Arc<UniverseRegistry>) {
+/// A registry with universe `demo` (flight/hotel) and a second tenant
+/// `twin` sharing the same instance (same fingerprint).
+fn demo_registry() -> Arc<UniverseRegistry> {
     let registry = Arc::new(UniverseRegistry::new());
     let universe = Arc::new(Universe::build(flight_hotel()));
     registry
@@ -33,6 +33,12 @@ fn demo_server() -> (jqi_net::Server, Arc<UniverseRegistry>) {
             Arc::new(SessionManager::new(universe, ServerConfig::default())),
         )
         .unwrap();
+    registry
+}
+
+/// A loopback server over [`demo_registry`].
+fn demo_server() -> (jqi_net::Server, Arc<UniverseRegistry>) {
+    let registry = demo_registry();
     let (server, _gateway) =
         serve(Arc::clone(&registry), "127.0.0.1:0", NetConfig::default()).expect("loopback bind");
     (server, registry)
@@ -657,4 +663,28 @@ fn stats_expose_manager_decision_cache_and_durability_blocks() {
         );
     }
     assert!(transport.get("accepted").and_then(Json::as_num).unwrap() >= 1.0);
+}
+
+#[test]
+fn dropping_the_server_and_gateway_frees_the_whole_stack() {
+    let registry = demo_registry();
+    let (server, gateway) =
+        serve(Arc::clone(&registry), "127.0.0.1:0", NetConfig::default()).expect("loopback bind");
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let stats = client.get("/v1/stats").unwrap();
+    assert_eq!(stats.status, 200, "{:?}", stats.body_str());
+    drop(client);
+
+    let weak = Arc::downgrade(&gateway);
+    drop(server);
+    drop(gateway);
+    assert!(
+        weak.upgrade().is_none(),
+        "the gateway outlived its server and its own handle"
+    );
+    assert_eq!(
+        Arc::strong_count(&registry),
+        1,
+        "the registry (managers, universes, WAL handles) leaked"
+    );
 }
