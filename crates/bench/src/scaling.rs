@@ -98,8 +98,8 @@ pub struct ScalingPoint {
 
 /// One measured end-to-end streaming build (the `streaming` phase):
 /// parallel chunk generation at a real TPC-H scale factor feeding
-/// `Universe::build_streaming` through bounded channels, with rows never
-/// materialized.
+/// `Universe::build_streaming`'s serial fold through bounded channels,
+/// with rows never materialized.
 #[derive(Debug, Clone)]
 pub struct StreamingPoint {
     /// Point label, e.g. `streaming customer⋈orders SF=1`.
@@ -121,7 +121,13 @@ pub struct StreamingPoint {
     pub build_wall_ms: f64,
     /// Streamed rows per second of end-to-end wall clock.
     pub rows_per_s: f64,
-    /// Peak tracked bytes of the profile accumulators — the streaming
+    /// Pass 2 of the build (`IngestStats::fold_ms`): re-generating the
+    /// chunks and folding them into profiles, milliseconds.
+    pub fold_ms: f64,
+    /// The assembly (`IngestStats::scan_ms`): profile-pair scan and
+    /// containment closure, milliseconds.
+    pub scan_ms: f64,
+    /// Peak tracked bytes of the profile fold — the streaming
     /// build's resident ingestion state.
     pub peak_tracked_bytes: usize,
     /// What the rows would occupy if materialized as interned tuples.
@@ -131,7 +137,7 @@ pub struct StreamingPoint {
     /// acceptance bar; < 1 is expected at smoke scale factors where rows
     /// are too few to saturate the profile space).
     pub memory_ratio: f64,
-    /// Ingestion worker threads.
+    /// Threads of the profile-pair scan and closure; the fold is serial.
     pub threads: usize,
     /// Parallel generator workers feeding the bounded channels.
     pub gen_workers: usize,
@@ -272,9 +278,10 @@ pub fn measure_instance(
 }
 
 /// Measures one end-to-end streaming build at scale factor `sf`:
-/// `Customer ⋈ Orders` chunks generated by parallel workers, folded into
-/// weighted profiles by `Universe::build_streaming`, with generation and
-/// folding overlapping through bounded channels.
+/// `Customer ⋈ Orders` chunks generated by parallel workers and folded
+/// into weighted profiles on the calling thread by
+/// `Universe::build_streaming`, with generation and folding overlapping
+/// through bounded channels; `threads` drives the assembly.
 pub fn measure_streaming(sf: f64, params: &ScalingParams) -> StreamingPoint {
     let config = SfConfig::new(sf, params.seed);
     let stream = SfStream::new(config, SfJoin::CustomerOrders)
@@ -305,6 +312,8 @@ pub fn measure_streaming(sf: f64, params: &ScalingParams) -> StreamingPoint {
         classes: universe.num_classes(),
         build_wall_ms,
         rows_per_s,
+        fold_ms: stats.fold_ms,
+        scan_ms: stats.scan_ms,
         peak_tracked_bytes: stats.peak_tracked_bytes,
         materialized_row_bytes: stats.materialized_row_bytes,
         memory_ratio,
@@ -611,12 +620,14 @@ impl ScalingReport {
         }
         if !self.streaming.is_empty() {
             out.push_str(&format!(
-                "\n{:<40} {:>11} {:>11} {:>8} {:>11} {:>12} {:>11} {:>12} {:>8}\n",
+                "\n{:<40} {:>11} {:>11} {:>8} {:>11} {:>9} {:>9} {:>12} {:>11} {:>12} {:>8}\n",
                 "streaming build",
                 "rows",
                 "profiles",
                 "classes",
                 "wall(ms)",
+                "fold(ms)",
+                "scan(ms)",
                 "rows/s",
                 "peak(B)",
                 "row-mem(B)",
@@ -624,12 +635,14 @@ impl ScalingReport {
             ));
             for s in &self.streaming {
                 out.push_str(&format!(
-                    "{:<40} {:>11} {:>11} {:>8} {:>11.1} {:>12.0} {:>11} {:>12} {:>7.1}x\n",
+                    "{:<40} {:>11} {:>11} {:>8} {:>11.1} {:>9.1} {:>9.1} {:>12.0} {:>11} {:>12} {:>7.1}x\n",
                     s.name,
                     s.rows_r + s.rows_p,
                     format!("{}·{}", s.distinct_r_profiles, s.distinct_p_profiles),
                     s.classes,
                     s.build_wall_ms,
+                    s.fold_ms,
+                    s.scan_ms,
                     s.rows_per_s,
                     s.peak_tracked_bytes,
                     s.materialized_row_bytes,
@@ -685,6 +698,8 @@ impl ToJson for StreamingPoint {
             ("classes".into(), Json::num(self.classes as f64)),
             ("build_wall_ms".into(), Json::Num(self.build_wall_ms)),
             ("rows_per_s".into(), Json::Num(self.rows_per_s)),
+            ("fold_ms".into(), Json::Num(self.fold_ms)),
+            ("scan_ms".into(), Json::Num(self.scan_ms)),
             (
                 "peak_tracked_bytes".into(),
                 Json::num(self.peak_tracked_bytes as f64),
@@ -803,6 +818,8 @@ mod tests {
         assert!(s.classes > 0);
         assert!(s.build_wall_ms > 0.0);
         assert!(s.rows_per_s > 0.0);
+        assert!(s.fold_ms > 0.0 && s.scan_ms > 0.0);
+        assert!(s.fold_ms + s.scan_ms <= s.build_wall_ms);
         assert!(s.peak_tracked_bytes > 0);
         assert!(s.materialized_row_bytes > 0);
         assert!(s.threads >= 1);
@@ -836,6 +853,8 @@ mod tests {
         assert!(json.contains("\"streaming\""));
         assert!(json.contains("\"peak_tracked_bytes\""));
         assert!(json.contains("\"rows_per_s\""));
+        assert!(json.contains("\"fold_ms\""));
+        assert!(json.contains("\"scan_ms\""));
         assert!(table.contains("incremental maintenance"));
         assert!(json.contains("\"incremental\""));
         assert!(json.contains("\"delta_apply_ms\""));

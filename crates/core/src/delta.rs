@@ -393,11 +393,6 @@ impl SideTable {
         self.prof_weight.iter().filter(|&&w| w > 0).count()
     }
 
-    /// Total row multiplicity (|R| of the current data).
-    pub(crate) fn total_weight(&self) -> u64 {
-        self.weight.iter().sum()
-    }
-
     #[inline]
     fn units(&self, s: u32) -> u64 {
         self.sym_units.get(&s).copied().unwrap_or(0)
@@ -704,15 +699,6 @@ impl Universe {
     /// which they can be materialized on first use.
     pub fn is_live(&self) -> bool {
         self.live.is_some() || self.rows_complete
-    }
-
-    /// Total row multiplicities `(|R|, |P|)` tracked by the live tables,
-    /// when present — the true data sizes behind a representative-only
-    /// instance.
-    pub fn live_row_counts(&self) -> Option<(u64, u64)> {
-        self.live
-            .as_ref()
-            .map(|lt| (lt.r.total_weight(), lt.p.total_weight()))
     }
 
     /// The exact currently-shared symbol set maintained by the live

@@ -5,13 +5,11 @@
 //! profile is extracted. But the universe itself only depends on the
 //! *weighted distinct join profiles* of each side — a Z-set-shaped
 //! representation where every row is a `+1` weight delta on one profile
-//! key. This module ingests a stream of [`RowChunk`]s, folds each chunk
-//! into per-thread `profile key → (weight, first row, representative)`
-//! maps, merges the maps deterministically, and hands the resulting
-//! weighted profiles to the same pair-loop kernel the materialized build
-//! uses. Rows are dropped the moment their chunk is folded; what stays
-//! resident is one representative [`Tuple`] and one counter per *distinct*
-//! profile.
+//! key. This module ingests a stream of [`RowChunk`]s, folds every row into
+//! the profile fold [`Universe::build`] uses, and hands the resulting
+//! weighted profiles to the same pair-loop kernel. Rows are dropped the
+//! moment their chunk is folded; what stays resident is one representative
+//! [`Tuple`] and one counter per *distinct* profile.
 //!
 //! # Two passes, one bounded memory footprint
 //!
@@ -25,49 +23,50 @@
 //! 1. **Shared scan** — fold per-side symbol-occurrence sets (memory
 //!    `O(distinct symbols)`), intersect them into the shared set.
 //! 2. **Profile fold** — re-stream the chunks, canonicalize each row with
-//!    the now-exact shared set, and fold weighted profile maps in
-//!    parallel workers fed through a bounded channel.
+//!    the now-exact shared set, and fold it into its side's weighted
+//!    profiles on the calling thread.
 //!
 //! Seeded generators (e.g. `jqi_datagen::stream`) replay for free, so the
 //! second pass costs one more generation sweep, never a materialization.
+//! That sweep, not the fold, bounds pass 2, which is why the fold is
+//! serial.
 //!
 //! Both passes end in the universe's one class table and finishing step
 //! (`Universe::assemble`), the same code [`Universe::build`] and
-//! [`Universe::apply_delta`] use.
+//! [`Universe::apply_delta`] use; `threads` parallelizes its profile-pair
+//! scan and containment closure.
 //!
 //! # Determinism
 //!
-//! Each side's chunks arrive in a fixed order, so every row has a global
-//! index (chunk base + offset). Workers record the *minimum* index at
-//! which each profile key was seen; the merge orders profiles by that
-//! index. The result — profile order, representatives, class ids, counts —
-//! is identical to [`Universe::build`] on the materialized equivalent,
-//! for every thread count and chunk size (property-tested in
-//! `tests/properties.rs`).
+//! Chunks are folded in arrival order, so profiles are numbered by first
+//! occurrence exactly as [`Universe::build`] numbers them on the
+//! materialized equivalent. Profile order, representatives, class ids and
+//! counts are identical for every thread count and chunk size
+//! (property-tested in `tests/properties.rs`).
 
-use crate::delta::{LiveTables, SymbolSet};
-use crate::universe::{Profile, Universe};
-use jqi_relation::{BitSet, RowChunk, Side, StreamSchema, Tuple};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::sync_channel;
+use crate::delta::{LiveTables, SideTable, SymbolSet};
+use crate::universe::{Profile, ProfileFold, Universe};
+use jqi_relation::{BitSet, RowChunk, Side, StreamSchema, Symbol, Tuple};
+use std::mem::size_of;
+use std::time::Instant;
 
 /// Options for a streaming ingestion run.
 #[derive(Debug, Clone, Copy)]
 pub struct IngestOptions {
-    /// Ingestion worker threads folding chunks into profile maps. `1`
-    /// folds inline on the calling thread (no channel, no spawn).
+    /// Threads for the profile-pair scan and the containment closure of
+    /// the assembled universe. The row fold always runs on the calling
+    /// thread.
     pub threads: usize,
-    /// Hard ceiling on tracked accumulator bytes: ingestion panics when
-    /// the profile maps outgrow it. A memory blow-up (a stream whose
-    /// profiles do *not* collapse) then fails fast — in CI, the bench
-    /// smoke job dies with a message instead of OOMing the runner.
+    /// Hard ceiling on tracked ingestion bytes, checked after each chunk:
+    /// ingestion panics when the fold outgrows it. A memory blow-up (a
+    /// stream whose profiles do *not* collapse) then fails fast — in CI,
+    /// the bench smoke job dies with a message instead of OOMing the
+    /// runner.
     pub byte_ceiling: Option<usize>,
 }
 
 impl IngestOptions {
-    /// Options with the given worker count and defaults otherwise.
+    /// Options with the given thread count and defaults otherwise.
     pub fn with_threads(threads: usize) -> Self {
         IngestOptions {
             threads: threads.max(1),
@@ -101,107 +100,37 @@ pub struct IngestStats {
     pub distinct_r: usize,
     /// Distinct P-side join profiles after the fold.
     pub distinct_p: usize,
-    /// Peak tracked bytes of the profile accumulators across all workers —
-    /// the streaming build's resident ingestion state. Excludes the
-    /// bounded channel (at most `2 × threads` chunks in flight) and the
-    /// final universe itself.
+    /// Peak tracked bytes of the fold — the profile keys, representatives
+    /// and counters, or a live build's row tables. Excludes the chunk in
+    /// flight and the final universe, and does not depend on `threads`.
     pub peak_tracked_bytes: usize,
     /// What the rows would occupy if materialized as interned tuples —
     /// the memory the streaming path avoids holding.
     pub materialized_row_bytes: u64,
-    /// Worker threads the fold ran with.
+    /// Threads the profile-pair scan and containment closure ran with.
     pub threads: usize,
+    /// Wall clock of pass 2 (re-streaming the chunks and folding them),
+    /// milliseconds.
+    pub fold_ms: f64,
+    /// Wall clock of the assembly (profile-pair scan and containment
+    /// closure), milliseconds.
+    pub scan_ms: f64,
 }
 
-/// Estimated per-entry overhead of a profile accumulator beyond its key
-/// and representative symbols: the hash-map slot, the counter/index
-/// fields, and allocator slack.
-const ACC_ENTRY_OVERHEAD: usize =
-    std::mem::size_of::<ProfileAcc>() + 2 * std::mem::size_of::<Tuple>() + 48;
+/// Estimated tracked bytes of one folded profile beyond its key and
+/// representative symbols: the map slot with its index, the
+/// representative's `Tuple`, the counter, and allocator slack.
+const PROFILE_OVERHEAD: usize =
+    size_of::<(Box<[u32]>, u32)>() + size_of::<Tuple>() + size_of::<u64>() + 48;
 
 /// Heap bytes a materialized interned row would cost (symbols + the
 /// `Tuple` fat pointer inside a `Vec<Tuple>`).
 fn materialized_bytes(arity: usize) -> u64 {
-    (std::mem::size_of::<Tuple>() + arity * std::mem::size_of::<u32>()) as u64
+    (size_of::<Tuple>() + arity * size_of::<u32>()) as u64
 }
 
-/// One folded profile: weight, first global row index, representative row.
-#[derive(Debug, Clone)]
-struct ProfileAcc {
-    count: u64,
-    first: u64,
-    rep: Tuple,
-}
-
-/// A per-worker (or merged) profile map for one side.
-#[derive(Debug, Default)]
-struct SideAcc {
-    map: HashMap<Box<[u32]>, ProfileAcc>,
-    /// Tracked resident bytes of `map` (keys, reps, entry overhead).
-    bytes: usize,
-}
-
-impl SideAcc {
-    /// Folds one row (at global index `row`) into the map. Returns the
-    /// tracked-byte delta (0 for a duplicate profile).
-    fn fold(&mut self, key: Box<[u32]>, row: u64, tuple: &Tuple) -> usize {
-        match self.map.entry(key) {
-            Entry::Occupied(mut e) => {
-                let acc = e.get_mut();
-                acc.count += 1;
-                // Chunks may fold out of order across workers: keep the
-                // earliest row as the representative.
-                if row < acc.first {
-                    acc.first = row;
-                    acc.rep = tuple.clone();
-                }
-                0
-            }
-            Entry::Vacant(e) => {
-                let added = e.key().len() * std::mem::size_of::<u32>()
-                    + tuple.arity() * std::mem::size_of::<u32>()
-                    + ACC_ENTRY_OVERHEAD;
-                e.insert(ProfileAcc {
-                    count: 1,
-                    first: row,
-                    rep: tuple.clone(),
-                });
-                self.bytes += added;
-                added
-            }
-        }
-    }
-
-    /// Merges another worker's map into this one (weights add, earliest
-    /// first-occurrence wins the representative).
-    fn absorb(&mut self, other: SideAcc) {
-        for (key, acc) in other.map {
-            match self.map.entry(key) {
-                Entry::Occupied(mut e) => {
-                    let mine = e.get_mut();
-                    mine.count += acc.count;
-                    if acc.first < mine.first {
-                        mine.first = acc.first;
-                        mine.rep = acc.rep;
-                    }
-                }
-                Entry::Vacant(e) => {
-                    e.insert(acc);
-                }
-            }
-        }
-    }
-
-    /// Drains into `(representatives, weights)` ordered by first
-    /// occurrence — the same order the materialized build's
-    /// `distinct_profiles` produces.
-    fn into_ordered(self) -> (Vec<Tuple>, Vec<u64>) {
-        let mut entries: Vec<ProfileAcc> = self.map.into_values().collect();
-        entries.sort_unstable_by_key(|a| a.first);
-        let counts = entries.iter().map(|a| a.count).collect();
-        let reps = entries.into_iter().map(|a| a.rep).collect();
-        (reps, counts)
-    }
+fn ms(start: Instant) -> f64 {
+    start.elapsed().as_secs_f64() * 1e3
 }
 
 /// The first streaming pass: per-side symbol-occurrence sets, intersected
@@ -229,187 +158,119 @@ pub(crate) fn scan_shared_symbols(
     r_syms.intersect(&p_syms, schema.interner().len())
 }
 
-/// Folds a whole chunk into a worker's side accumulators, returning the
-/// tracked-byte delta.
-fn fold_chunk(
-    chunk: &RowChunk,
-    base: u64,
-    shared: &BitSet,
-    r_acc: &mut SideAcc,
-    p_acc: &mut SideAcc,
-) -> usize {
-    let acc = match chunk.side {
-        Side::R => r_acc,
-        Side::P => p_acc,
+/// What pass 2 folds rows into.
+trait RowFold {
+    /// Folds one streamed row of `side`.
+    fn row(&mut self, side: Side, row: &Tuple);
+    /// Tracked resident bytes, checked against the ceiling after each chunk.
+    fn resident_bytes(&self) -> usize;
+}
+
+/// The plain streaming build's fold: one [`ProfileFold`] per side
+/// (`[R, P]`), plus the row representing each profile.
+struct StreamedProfiles<'a> {
+    shared: &'a BitSet,
+    folds: [ProfileFold; 2],
+    reps: [Vec<Tuple>; 2],
+    bytes: usize,
+}
+
+impl RowFold for StreamedProfiles<'_> {
+    fn row(&mut self, side: Side, row: &Tuple) {
+        let slot = match side {
+            Side::R => 0,
+            Side::P => 1,
+        };
+        let key = jqi_relation::stream::profile_key(row, self.shared);
+        let key_bytes = key.len() * size_of::<u32>();
+        if self.folds[slot].fold(key) {
+            self.bytes += key_bytes + row.arity() * size_of::<u32>() + PROFILE_OVERHEAD;
+            self.reps[slot].push(row.clone());
+        }
+    }
+
+    fn resident_bytes(&self) -> usize {
+        self.bytes
+    }
+}
+
+/// The live build's fold: the live row tables, fed through one reused
+/// symbol buffer.
+struct LiveFold {
+    tables: LiveTables,
+    syms: Vec<u32>,
+}
+
+impl RowFold for LiveFold {
+    fn row(&mut self, side: Side, row: &Tuple) {
+        self.syms.clear();
+        self.syms.extend(row.symbols().iter().map(|s| s.0));
+        self.tables.ingest(side, &self.syms, false);
+    }
+
+    fn resident_bytes(&self) -> usize {
+        self.tables.resident_bytes()
+    }
+}
+
+/// Pass 2's one chunk loop, shared by both streaming builds: hands every
+/// row to `fold` on the calling thread, counts rows and chunks, and checks
+/// the byte ceiling after each chunk.
+fn fold_chunks(
+    schema: &StreamSchema,
+    chunks: impl Iterator<Item = RowChunk>,
+    fold: &mut impl RowFold,
+    options: &IngestOptions,
+) -> IngestStats {
+    let start = Instant::now();
+    let mut stats = IngestStats {
+        threads: options.threads.max(1),
+        ..IngestStats::default()
     };
-    let mut added = 0usize;
-    for (offset, row) in chunk.rows.iter().enumerate() {
-        let key = jqi_relation::stream::profile_key(row, shared);
-        added += acc.fold(key, base + offset as u64, row);
-    }
-    added
-}
-
-/// Tracks global accumulator residency across workers and enforces the
-/// byte ceiling.
-struct ByteTracker {
-    current: AtomicUsize,
-    peak: AtomicUsize,
-    ceiling: Option<usize>,
-}
-
-impl ByteTracker {
-    fn new(ceiling: Option<usize>) -> Self {
-        ByteTracker {
-            current: AtomicUsize::new(0),
-            peak: AtomicUsize::new(0),
-            ceiling,
+    for chunk in chunks {
+        stats.chunks += 1;
+        match chunk.side {
+            Side::R => stats.rows_r += chunk.rows.len() as u64,
+            Side::P => stats.rows_p += chunk.rows.len() as u64,
         }
-    }
-
-    /// Adds a worker's post-chunk byte delta; panics past the ceiling.
-    fn add(&self, delta: usize) {
-        if delta == 0 {
-            return;
+        for row in &chunk.rows {
+            fold.row(chunk.side, row);
         }
-        let now = self.current.fetch_add(delta, Ordering::Relaxed) + delta;
-        self.peak.fetch_max(now, Ordering::Relaxed);
-        if let Some(ceiling) = self.ceiling {
+        let resident = fold.resident_bytes();
+        stats.peak_tracked_bytes = stats.peak_tracked_bytes.max(resident);
+        if let Some(ceiling) = options.byte_ceiling {
             assert!(
-                now <= ceiling,
-                "streaming ingestion exceeded its byte ceiling: \
-                 {now} tracked accumulator bytes > {ceiling} — the stream's \
-                 profiles are not collapsing (distinct profiles ≈ rows?)"
+                resident <= ceiling,
+                "streaming ingestion exceeded its byte ceiling: {resident} tracked \
+                 bytes > {ceiling} — the stream's profiles (for a live build, its \
+                 distinct rows) are not collapsing"
             );
         }
     }
-
-    fn peak(&self) -> usize {
-        self.peak.load(Ordering::Relaxed)
-    }
+    stats.materialized_row_bytes = stats.rows_r * materialized_bytes(schema.side(Side::R).arity())
+        + stats.rows_p * materialized_bytes(schema.side(Side::P).arity());
+    stats.fold_ms = ms(start);
+    stats
 }
 
-/// Runs the profile fold (pass 2) over `chunks`, returning per-side
-/// ordered `(reps, counts)` plus statistics.
-#[allow(clippy::type_complexity)]
-fn fold_stream(
-    shared: &BitSet,
-    chunks: impl Iterator<Item = RowChunk>,
-    options: &IngestOptions,
-) -> ((Vec<Tuple>, Vec<u64>), (Vec<Tuple>, Vec<u64>), IngestStats) {
-    let threads = options.threads.max(1);
-    let tracker = ByteTracker::new(options.byte_ceiling);
-    let mut stats = IngestStats {
-        threads,
-        ..IngestStats::default()
-    };
-
-    // Assign each chunk its side's global row base on the coordinator, so
-    // row numbering is defined by arrival order regardless of which worker
-    // folds the chunk.
-    let mut next_base: [u64; 2] = [0, 0];
-    let mut arity: [u64; 2] = [0, 0];
-    let mut sequence = chunks.map(|chunk| {
-        let side = match chunk.side {
-            Side::R => 0usize,
-            Side::P => 1usize,
-        };
-        let base = next_base[side];
-        next_base[side] += chunk.rows.len() as u64;
-        if let Some(row) = chunk.rows.first() {
-            arity[side] = row.arity() as u64;
-        }
-        (base, chunk)
-    });
-
-    let (mut r_acc, mut p_acc) = if threads <= 1 {
-        let mut r_acc = SideAcc::default();
-        let mut p_acc = SideAcc::default();
-        for (base, chunk) in &mut sequence {
-            stats.chunks += 1;
-            let delta = fold_chunk(&chunk, base, shared, &mut r_acc, &mut p_acc);
-            tracker.add(delta);
-        }
-        (r_acc, p_acc)
-    } else {
-        // Two chunks in flight per worker cap in-flight row memory while
-        // letting generation overlap folding.
-        let (tx, rx) = sync_channel::<(u64, RowChunk)>(2 * threads);
-        // Workers co-own the receiver: if every worker dies (e.g. the
-        // byte ceiling trips and the panic unwinds them), the channel
-        // disconnects and the blocked feeder's `send` errors out instead
-        // of waiting forever on a full buffer.
-        let rx = std::sync::Arc::new(std::sync::Mutex::new(rx));
-        let (locals, chunks_seen) = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let rx = std::sync::Arc::clone(&rx);
-                    let tracker = &tracker;
-                    s.spawn(move || {
-                        let mut r_acc = SideAcc::default();
-                        let mut p_acc = SideAcc::default();
-                        let mut folded = 0u64;
-                        loop {
-                            // Hold the receiver lock only to pull one
-                            // chunk. A poisoned lock means a sibling
-                            // panicked mid-recv — exit quietly and let the
-                            // coordinator re-raise the sibling's panic.
-                            let Ok(guard) = rx.lock() else { break };
-                            let next = guard.recv();
-                            drop(guard);
-                            let Ok((base, chunk)) = next else { break };
-                            folded += 1;
-                            let delta = fold_chunk(&chunk, base, shared, &mut r_acc, &mut p_acc);
-                            tracker.add(delta);
-                        }
-                        (r_acc, p_acc, folded)
-                    })
-                })
-                .collect();
-            drop(rx);
-            for pair in &mut sequence {
-                if tx.send(pair).is_err() {
-                    // Every worker is gone; stop feeding. The join loop
-                    // below re-raises whatever killed them.
-                    break;
-                }
-            }
-            drop(tx);
-            let mut locals = Vec::with_capacity(threads);
-            let mut seen = 0u64;
-            for h in handles {
-                match h.join() {
-                    Ok((r, p, folded)) => {
-                        seen += folded;
-                        locals.push((r, p));
-                    }
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-            (locals, seen)
-        });
-        stats.chunks = chunks_seen;
-        let mut r_acc = SideAcc::default();
-        let mut p_acc = SideAcc::default();
-        for (r, p) in locals {
-            r_acc.absorb(r);
-            p_acc.absorb(p);
-        }
-        (r_acc, p_acc)
-    };
-
-    stats.rows_r = next_base[0];
-    stats.rows_p = next_base[1];
-    stats.peak_tracked_bytes = tracker.peak();
-    stats.materialized_row_bytes = next_base[0] * materialized_bytes(arity[0] as usize)
-        + next_base[1] * materialized_bytes(arity[1] as usize);
-    r_acc.bytes = 0; // merged views are not re-tracked
-    p_acc.bytes = 0;
-    let r = r_acc.into_ordered();
-    let p = p_acc.into_ordered();
-    stats.distinct_r = r.0.len();
-    stats.distinct_p = p.0.len();
-    (r, p, stats)
+/// Assembles a streamed universe from each side's `(representatives,
+/// profiles)`, recording the profile counts and `scan_ms` in `stats`.
+fn assemble_streamed(
+    schema: StreamSchema,
+    shared: BitSet,
+    (r_reps, r_profiles): (Vec<Tuple>, Vec<Profile>),
+    (p_reps, p_profiles): (Vec<Tuple>, Vec<Profile>),
+    stats: &mut IngestStats,
+) -> Universe {
+    stats.distinct_r = r_profiles.len();
+    stats.distinct_p = p_profiles.len();
+    let instance = schema
+        .into_instance(r_reps, p_reps)
+        .expect("streamed rows match their declared schemas");
+    let start = Instant::now();
+    let universe = Universe::assemble(instance, shared, r_profiles, p_profiles, stats.threads);
+    stats.scan_ms = ms(start);
+    universe
 }
 
 impl Universe {
@@ -426,7 +287,7 @@ impl Universe {
     /// its embedded instance holds one representative row per distinct
     /// profile rather than every row (so `instance().product_size()` is
     /// the *profile* product; [`Universe::total_tuples`] still reports the
-    /// true row product).
+    /// true row product). `threads` parallelizes the assembly only.
     pub fn build_streaming<I>(
         schema: StreamSchema,
         source: impl Fn() -> I,
@@ -439,7 +300,7 @@ impl Universe {
     }
 
     /// [`Universe::build_streaming`] with explicit [`IngestOptions`]
-    /// (worker count, byte ceiling).
+    /// (assembly threads, byte ceiling).
     pub fn build_streaming_with_options<I>(
         schema: StreamSchema,
         source: impl Fn() -> I,
@@ -470,32 +331,26 @@ impl Universe {
         chunks: impl Iterator<Item = RowChunk>,
         options: &IngestOptions,
     ) -> (Universe, IngestStats) {
-        let ((r_reps, r_counts), (p_reps, p_counts), stats) = fold_stream(&shared, chunks, options);
-        let r_profiles: Vec<Profile> = r_counts
-            .iter()
-            .enumerate()
-            .map(|(i, &count)| Profile {
-                rep: i as u32,
-                count,
-            })
-            .collect();
-        let p_profiles: Vec<Profile> = p_counts
-            .iter()
-            .enumerate()
-            .map(|(i, &count)| Profile {
-                rep: i as u32,
-                count,
-            })
-            .collect();
-        let instance = schema
-            .into_instance(r_reps, p_reps)
-            .expect("streamed rows match their declared schemas");
-        let universe = Universe::assemble(
-            instance,
+        let mut fold = StreamedProfiles {
+            shared: &shared,
+            folds: Default::default(),
+            reps: Default::default(),
+            bytes: 0,
+        };
+        let mut stats = fold_chunks(&schema, chunks, &mut fold, options);
+        let StreamedProfiles {
+            folds: [r_fold, p_fold],
+            reps: [r_reps, p_reps],
+            ..
+        } = fold;
+        let r_profiles = r_fold.into_profiles(0..r_reps.len() as u32);
+        let p_profiles = p_fold.into_profiles(0..p_reps.len() as u32);
+        let universe = assemble_streamed(
+            schema,
             shared,
-            r_profiles,
-            p_profiles,
-            options.threads.max(1),
+            (r_reps, r_profiles),
+            (p_reps, p_profiles),
+            &mut stats,
         );
         (universe, stats)
     }
@@ -512,11 +367,11 @@ impl Universe {
     /// below `O(rows)` materialization for data with duplicate rows, and
     /// the embedded instance still holds representatives only.
     ///
-    /// The row fold is single-threaded (the live tables are one sequential
-    /// arena; `threads` parallelizes the pair-loop assembly). Profile
-    /// enumeration order is first-occurrence, so class ids, signatures,
-    /// counts, and representatives are identical to
-    /// [`Universe::build_streaming`] on the same stream.
+    /// Rows go through the plain build's chunk loop into the live tables
+    /// instead of a profile fold. Profile enumeration order is
+    /// first-occurrence, so class ids, signatures, counts, and
+    /// representatives are identical to [`Universe::build_streaming`] on
+    /// the same stream.
     pub fn build_streaming_live<I>(
         schema: StreamSchema,
         source: impl Fn() -> I,
@@ -534,7 +389,7 @@ impl Universe {
 
     /// [`Universe::build_streaming_live`] with explicit [`IngestOptions`]
     /// (`byte_ceiling` is enforced against the live tables' resident
-    /// bytes; the row fold is sequential, so no chunk channel is used).
+    /// bytes).
     pub fn build_streaming_live_with_options<I>(
         schema: StreamSchema,
         source: impl Fn() -> I,
@@ -544,82 +399,32 @@ impl Universe {
         I: Iterator<Item = RowChunk>,
     {
         let shared = scan_shared_symbols(&schema, source());
-        let mut stats = IngestStats {
-            threads: options.threads.max(1),
-            ..IngestStats::default()
+        let mut fold = LiveFold {
+            tables: LiveTables::new(
+                schema.side(Side::R).arity(),
+                schema.side(Side::P).arity(),
+                &shared,
+            ),
+            syms: Vec::new(),
         };
-        let mut lt = LiveTables::new(
-            schema.side(Side::R).arity(),
-            schema.side(Side::P).arity(),
-            &shared,
-        );
-        let mut syms: Vec<u32> = Vec::new();
-        let mut arity: [u64; 2] = [
-            schema.side(Side::R).arity() as u64,
-            schema.side(Side::P).arity() as u64,
-        ];
-        for chunk in source() {
-            stats.chunks += 1;
-            let side_slot = match chunk.side {
-                Side::R => 0usize,
-                Side::P => 1usize,
-            };
-            for row in &chunk.rows {
-                arity[side_slot] = row.arity() as u64;
-                syms.clear();
-                syms.extend(row.symbols().iter().map(|s| s.0));
-                lt.ingest(chunk.side, &syms, false);
-            }
-            match chunk.side {
-                Side::R => stats.rows_r += chunk.rows.len() as u64,
-                Side::P => stats.rows_p += chunk.rows.len() as u64,
-            }
-            let resident = lt.resident_bytes();
-            stats.peak_tracked_bytes = stats.peak_tracked_bytes.max(resident);
-            if let Some(ceiling) = options.byte_ceiling {
-                assert!(
-                    resident <= ceiling,
-                    "live streaming ingestion exceeded its byte ceiling: \
-                     {resident} resident live-table bytes > {ceiling} — the \
-                     stream's distinct rows are not collapsing"
-                );
-            }
-        }
+        let mut stats = fold_chunks(&schema, source(), &mut fold, options);
+        let mut lt = fold.tables;
         lt.finalize_ingest();
-        stats.materialized_row_bytes = stats.rows_r * materialized_bytes(arity[0] as usize)
-            + stats.rows_p * materialized_bytes(arity[1] as usize);
-
-        let side_profiles = |st: &crate::delta::SideTable| -> (Vec<Tuple>, Vec<Profile>) {
-            let mut reps = Vec::with_capacity(st.prof_count());
-            let mut profiles = Vec::with_capacity(st.prof_count());
-            for p in 0..st.prof_count() as u32 {
-                reps.push(Tuple::new(
-                    st.rep_syms(p)
+        let side_profiles = |st: &SideTable| -> (Vec<Tuple>, Vec<Profile>) {
+            (0..st.prof_count() as u32)
+                .map(|p| {
+                    let rep = st
+                        .rep_syms(p)
                         .iter()
-                        .map(|&s| jqi_relation::Symbol(s))
-                        .collect::<Vec<_>>(),
-                ));
-                profiles.push(Profile {
-                    rep: p,
-                    count: st.prof_weight(p),
-                });
-            }
-            (reps, profiles)
+                        .map(|&s| Symbol(s))
+                        .collect::<Vec<_>>();
+                    let count = st.prof_weight(p);
+                    (Tuple::new(rep), Profile { rep: p, count })
+                })
+                .unzip()
         };
-        let (r_reps, r_profiles) = side_profiles(&lt.r);
-        let (p_reps, p_profiles) = side_profiles(&lt.p);
-        stats.distinct_r = r_profiles.len();
-        stats.distinct_p = p_profiles.len();
-        let instance = schema
-            .into_instance(r_reps, p_reps)
-            .expect("streamed rows match their declared schemas");
-        let mut universe = Universe::assemble(
-            instance,
-            shared,
-            r_profiles,
-            p_profiles,
-            options.threads.max(1),
-        );
+        let (r, p) = (side_profiles(&lt.r), side_profiles(&lt.p));
+        let mut universe = assemble_streamed(schema, shared, r, p, &mut stats);
         universe.live = Some(std::sync::Arc::new(lt));
         (universe, stats)
     }
@@ -695,11 +500,13 @@ mod tests {
         let base_chunks = chunks(&schema0, 2);
         let (reference, _) =
             Universe::build_streaming(schema0, || base_chunks.clone().into_iter(), 1);
-        for threads in [2, 4] {
-            for chunk_rows in [1, 3, 100] {
-                let s = schema();
-                let all = chunks(&s, chunk_rows);
-                let (u, _) = Universe::build_streaming(s, || all.clone().into_iter(), threads);
+        for chunk_rows in [1, 3, 100] {
+            let s = schema();
+            let all = chunks(&s, chunk_rows);
+            let (_, serial) = Universe::build_streaming(s.clone(), || all.clone().into_iter(), 1);
+            for threads in [2, 4, 8] {
+                let (u, stats) =
+                    Universe::build_streaming(s.clone(), || all.clone().into_iter(), threads);
                 assert_eq!(u.num_classes(), reference.num_classes());
                 assert_eq!(u.counts(), reference.counts());
                 assert_eq!(
@@ -707,8 +514,42 @@ mod tests {
                     reference.sigs(),
                     "threads={threads} chunk_rows={chunk_rows}"
                 );
+                // The fold is serial, so only `threads` (and the timings)
+                // may differ from the one-thread run.
+                assert_eq!(stats.threads, threads);
+                assert_eq!(
+                    ingestion_counts(&stats),
+                    ingestion_counts(&serial),
+                    "threads={threads} chunk_rows={chunk_rows}"
+                );
             }
         }
+    }
+
+    /// Every [`IngestStats`] field except `threads` and the timings; the
+    /// destructuring fails to compile when a field is added.
+    fn ingestion_counts(stats: &IngestStats) -> [u64; 7] {
+        let IngestStats {
+            rows_r,
+            rows_p,
+            chunks,
+            distinct_r,
+            distinct_p,
+            peak_tracked_bytes,
+            materialized_row_bytes,
+            threads: _,
+            fold_ms: _,
+            scan_ms: _,
+        } = *stats;
+        [
+            rows_r,
+            rows_p,
+            chunks,
+            distinct_r as u64,
+            distinct_p as u64,
+            peak_tracked_bytes as u64,
+            materialized_row_bytes,
+        ]
     }
 
     #[test]

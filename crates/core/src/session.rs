@@ -335,13 +335,6 @@ impl OwnedSession {
         self.pending = pending;
         Ok(report)
     }
-
-    /// A fresh handle to the shared universe.
-    pub fn universe_arc(&self) -> Arc<Universe> {
-        self.state
-            .shared_universe()
-            .expect("owned sessions always share their universe")
-    }
 }
 
 #[cfg(test)]

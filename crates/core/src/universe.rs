@@ -544,31 +544,60 @@ pub struct Universe {
 }
 
 /// One distinct join profile of a relation side: its first (representative)
-/// row and the number of rows that collapse into it. The streaming build
-/// (`crate::ingest`) produces these directly from folded profile maps.
+/// row and the number of rows that collapse into it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Profile {
     pub(crate) rep: u32,
     pub(crate) count: u64,
 }
 
-/// Deduplicates profile keys in first-occurrence order.
-fn distinct_profiles(keys: impl Iterator<Item = Box<[u32]>>) -> Vec<Profile> {
-    let mut ids: HashMap<Box<[u32]>, u32> = HashMap::new();
-    let mut out: Vec<Profile> = Vec::new();
-    for (row, key) in keys.enumerate() {
-        match ids.entry(key) {
-            Entry::Occupied(e) => out[*e.get() as usize].count += 1,
+/// The profile fold every build shares: numbers distinct profile keys in
+/// first-occurrence order and weighs each. The caller keeps the
+/// representatives — row indices in [`Universe::build`], the rows
+/// themselves in a streaming build (`crate::ingest`).
+#[derive(Debug, Default)]
+pub(crate) struct ProfileFold {
+    ids: HashMap<Box<[u32]>, u32>,
+    counts: Vec<u64>,
+}
+
+impl ProfileFold {
+    /// Counts one row with profile `key`; `true` when the key is new, so
+    /// the row represents the profile just appended.
+    pub(crate) fn fold(&mut self, key: Box<[u32]>) -> bool {
+        match self.ids.entry(key) {
+            Entry::Occupied(e) => {
+                self.counts[*e.get() as usize] += 1;
+                false
+            }
             Entry::Vacant(e) => {
-                e.insert(out.len() as u32);
-                out.push(Profile {
-                    rep: row as u32,
-                    count: 1,
-                });
+                e.insert(self.counts.len() as u32);
+                self.counts.push(1);
+                true
             }
         }
     }
-    out
+
+    /// The folded profiles, given their representatives in fold order.
+    pub(crate) fn into_profiles(self, reps: impl IntoIterator<Item = u32>) -> Vec<Profile> {
+        reps.into_iter()
+            .zip(self.counts)
+            .map(|(rep, count)| Profile { rep, count })
+            .collect()
+    }
+}
+
+/// The distinct profiles of rows `0..rows`, each represented by its first
+/// row.
+fn row_fold(rows: usize, key: impl Fn(usize) -> Box<[u32]>) -> Vec<Profile> {
+    let mut fold = ProfileFold::default();
+    let mut reps = Vec::new();
+    for row in 0..rows {
+        if fold.fold(key(row)) {
+            reps.push(row as u32);
+        }
+    }
+    fold.into_profiles(reps)
 }
 
 /// Treats every row as its own profile (the reference, no-dedup path).
@@ -730,12 +759,8 @@ impl Universe {
     /// regardless of thread count.
     pub fn build(instance: Instance) -> Self {
         let shared = instance.shared_symbols();
-        let r_profiles = distinct_profiles(
-            (0..instance.r().len()).map(|ri| instance.r_profile_key(ri, &shared)),
-        );
-        let p_profiles = distinct_profiles(
-            (0..instance.p().len()).map(|pi| instance.p_profile_key(pi, &shared)),
-        );
+        let r_profiles = row_fold(instance.r().len(), |ri| instance.r_profile_key(ri, &shared));
+        let p_profiles = row_fold(instance.p().len(), |pi| instance.p_profile_key(pi, &shared));
         let work = r_profiles.len() as u64 * p_profiles.len() as u64;
         let threads = if work < PARALLEL_THRESHOLD {
             1
@@ -1125,12 +1150,8 @@ mod tests {
     /// machine.
     fn build_with_threads(instance: Instance, threads: usize) -> Universe {
         let shared = instance.shared_symbols();
-        let r_profiles = distinct_profiles(
-            (0..instance.r().len()).map(|ri| instance.r_profile_key(ri, &shared)),
-        );
-        let p_profiles = distinct_profiles(
-            (0..instance.p().len()).map(|pi| instance.p_profile_key(pi, &shared)),
-        );
+        let r_profiles = row_fold(instance.r().len(), |ri| instance.r_profile_key(ri, &shared));
+        let p_profiles = row_fold(instance.p().len(), |pi| instance.p_profile_key(pi, &shared));
         Universe::assemble(instance, shared, r_profiles, p_profiles, threads)
     }
 

@@ -13,7 +13,7 @@
 //!   chunk producer and a profile-folding consumer agree on up front.
 //! * [`RowChunk`] — a batch of interned rows for one side ([`Side::R`] or
 //!   [`Side::P`]), the unit flowing through bounded channels from
-//!   generator workers to ingestion workers.
+//!   generator workers to the profile fold.
 //! * [`profile_key`] — the per-row canonicalization (symbols outside the
 //!   shared set collapse to [`PROFILE_HOLE`]) that makes rows with equal
 //!   keys interchangeable against every opposite-side row; the consumer

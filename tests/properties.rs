@@ -974,7 +974,7 @@ proptest! {
     /// Tentpole equivalence: `Universe::build_streaming` ≡
     /// `Universe::build` — identical class signatures, ids, counts,
     /// closure masks, and representative tuples — on duplicate-heavy
-    /// instances, for 1/2/8 ingestion threads × chunk sizes {1, 7, 4096}.
+    /// instances, for 1/2/8 build threads × chunk sizes {1, 7, 4096}.
     #[test]
     fn streamed_build_matches_materialized(inst in duplicate_heavy_instance()) {
         assert_streaming_matches_build(inst);
