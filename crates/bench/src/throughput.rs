@@ -1085,18 +1085,18 @@ pub fn run(tiny: bool, params: ThroughputParams) -> ThroughputReport {
 
 /// Drives the overload phase (see [`OverloadReport`]).
 ///
-/// Topology: a 2-worker gateway with `queue_soft: 2` / `queue_hard`
-/// above the client count, reached only through a [`jqi_net::ChaosProxy`]
+/// Topology: a 4-worker gateway with `queue_soft: 2` / `queue_hard`
+/// above the worker count, reached only through a [`jqi_net::ChaosProxy`]
 /// whose script delays one connection and drip-feeds another (the two
 /// unmetered chaos clients) and relays the rest untouched. One clean
 /// client measures the uncontended baseline first; then every metered
-/// client gets its own session and alternates a read (`GET` session
-/// status — sheds past the soft threshold) with a write (`POST` an empty
-/// answer batch — admitted up to the hard threshold), so under pressure
-/// both outcomes occur: writes land, reads shed. Metered clients run a
-/// fixed request budget, extended (bounded) until the fleet has
-/// collectively seen a minimum number of sheds, so the shed-latency
-/// summary is never empty on a fast machine.
+/// client alternates a read (`GET` its session's first question — sheds
+/// past the soft threshold) with a write (`POST` a new session — the
+/// queue depth never exceeds the workers, so it is admitted), so under
+/// pressure both outcomes occur: writes land, reads shed. Metered
+/// clients run a fixed request budget, extended (bounded) until the
+/// fleet has collectively seen a minimum number of sheds, so the
+/// shed-latency summary is never empty on a fast machine.
 fn overload_phase(tiny: bool, seed: u64) -> OverloadReport {
     use jqi_datagen::tpch::{workload, TpchJoin, TpchScale};
     use jqi_net::{ChaosProxy, ChaosScript, Client, Fault, NetConfig};
@@ -1138,11 +1138,11 @@ fn overload_phase(tiny: bool, seed: u64) -> OverloadReport {
     };
     let server_workers = net.workers;
     let overload = OverloadConfig {
-        // Reads shed once more than two wake-ups are in flight; writes
-        // once more than six are. Both tiers bound the queue an
-        // accepted request waits behind — that bound, not the offered
-        // load, is what the accepted p99 tracks (the p99_ratio
-        // acceptance bar).
+        // Reads shed once more than two requests are in workers' hands,
+        // which bounds the work an accepted read shares the CPUs with —
+        // that bound, not the offered load, is what the accepted p99
+        // tracks (the p99_ratio acceptance bar). Depth never exceeds
+        // the 4 workers, so `queue_hard: 6` never sheds a write.
         queue_soft: 2,
         queue_hard: 6,
         retry_after_s: 1,

@@ -363,11 +363,8 @@ fn relay(
 
 /// Makes dropping `stream` send an RST instead of a FIN.
 fn hard_reset(stream: &TcpStream) {
-    #[cfg(target_os = "linux")]
-    {
-        use std::os::fd::AsRawFd;
-        let _ = crate::sys::set_linger_zero(stream.as_raw_fd());
-    }
+    use std::os::fd::AsRawFd;
+    let _ = crate::sys::set_linger_zero(stream.as_raw_fd());
     let _ = stream.shutdown(Shutdown::Both);
 }
 

@@ -11,13 +11,13 @@
 //!   response writing, a typed [`wire::HttpError`] taxonomy mapping every
 //!   client mistake to a status code, and hard
 //!   [`wire::Limits`] enforced *while* bytes arrive.
-//! - [`server`] — the runtime: an accept thread, a Linux `epoll`
-//!   one-shot event loop (see [`sys`], the crate's only `unsafe`
-//!   module), and a bounded worker pool. Idle keep-alive connections
+//! - [`server`] — the runtime: an accept thread and a bounded worker
+//!   pool whose workers each wait on one shared Linux `epoll` fd with
+//!   one-shot arming (see [`sys`], the crate's only `unsafe` module), so
+//!   a request crosses one thread hop. Idle keep-alive connections
 //!   are parked in a table instead of holding threads, which is what
 //!   lets a handful of workers serve ≥ 1024 concurrent sessions in the
-//!   transport benchmark. A portable thread-per-connection fallback
-//!   covers non-Linux hosts.
+//!   transport benchmark. The crate is Linux-only.
 //! - [`client`] — a small blocking keep-alive client for tests,
 //!   examples, and the bench driver, plus a [`client::RetryingClient`]
 //!   with capped, seeded-jitter backoff that honors `Retry-After` and
@@ -50,10 +50,12 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
+#[cfg(not(target_os = "linux"))]
+compile_error!("jqi_net is Linux-only: the server and `sys` call epoll directly");
+
 pub mod chaos;
 pub mod client;
 pub mod server;
-#[cfg(target_os = "linux")]
 pub mod sys;
 pub mod wire;
 

@@ -1,43 +1,43 @@
-//! The listener, the epoll event loop, and the bounded worker pool.
+//! The listener and the bounded worker pool that waits on epoll itself.
 //!
 //! ```text
 //!  accept thread ──registers──▶ epoll (one-shot readable)
-//!                                  │ readiness tokens
+//!                                  │ one event per epoll_wait
 //!                                  ▼
-//!                          event-loop thread ──▶ ready queue ──▶ N workers
-//!                                                                  │
-//!                    parked connection table ◀──re-arm/keep-alive──┘
+//!                    N workers, each in epoll_wait
+//!                                  │
+//!    parked connection table ◀─────┘ re-park + re-arm (keep-alive)
 //! ```
 //!
 //! A connection is **parked** (owned by the table, armed one-shot in
 //! epoll) whenever no request is in flight, so ten thousand idle
 //! keep-alive connections cost a file descriptor and a table entry each —
-//! no thread. When epoll reports bytes, the event loop pushes the token
-//! onto the ready queue and exactly one worker takes the connection out
-//! of the table, reads one full request (with the socket's read timeout
-//! as the slow-client bound), calls the [`Handler`], writes the response,
-//! and either re-parks + re-arms the connection or closes it. Pipelined
-//! requests already in the connection's buffer are served before parking
-//! — re-arming would never fire for bytes this process has already read.
+//! no thread. Every worker blocks in `epoll_wait` on the shared epoll fd
+//! for one event at a time; when a connection has bytes, exactly one
+//! worker wakes with its token, takes the connection out of the table,
+//! reads one full request (with the socket's read timeout as the
+//! slow-client bound), calls the [`Handler`], writes the response, and
+//! either re-parks + re-arms the connection or closes it. A request thus
+//! crosses one thread hop: the kernel's wake-up of the worker that
+//! serves it. Pipelined requests already in the connection's buffer are
+//! served before parking — re-arming would never fire for bytes this
+//! process has already read.
 //!
 //! Protocol errors are answered with the status mapped by
 //! [`HttpError::status`] (or a silent close for idle timeouts) and the
 //! connection is dropped; a handler panic is caught per-request and
 //! answered with `500`, so one bad request can never take the worker —
 //! let alone the process — down.
-//!
-//! On non-Linux hosts (the epoll module is Linux-only) a portable
-//! fallback serves each connection on a worker thread for its whole
-//! lifetime; the API is identical, concurrency is bounded by the pool.
 
+use crate::sys::Epoll;
 use crate::wire::{
     read_request_body, read_request_head, write_response, HttpError, Limits, Request, RequestHead,
     Response, DEFAULT_READ_TIMEOUT,
 };
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex, Weak};
 use std::time::Duration;
 
@@ -45,9 +45,8 @@ use std::time::Duration;
 /// so the application can decide to shed before any work is done.
 #[derive(Debug, Clone, Copy)]
 pub struct Pressure {
-    /// Wake-ups dispatched to the worker pool and not yet fully served —
-    /// the aggregate per-worker queue depth, *including* the request
-    /// being admitted.
+    /// Requests a worker has taken from epoll and not yet answered,
+    /// *including* the request being admitted — at most `workers`.
     pub queue_depth: usize,
     /// Connections currently open (parked or in flight).
     pub open_connections: usize,
@@ -105,8 +104,7 @@ pub struct NetConfig {
     /// and closed at accept time.
     pub max_connections: usize,
     /// Per-read socket timeout — the bound on a slow or stalled client
-    /// holding a worker mid-request (and, in the portable fallback, the
-    /// keep-alive idle bound).
+    /// holding a worker mid-request.
     pub read_timeout: Duration,
     /// Wire-level size ceilings ([`Limits`]).
     pub limits: Limits,
@@ -151,20 +149,19 @@ pub struct NetStats {
     /// arrival at a worker, or while the body was still being read.
     /// Answered `504`; never counted as a protocol error.
     pub deadlines_exceeded: u64,
-    /// Wake-ups dispatched to the worker pool and not yet fully served
-    /// (the live aggregate per-worker queue depth).
+    /// Requests a worker has taken from epoll and not yet answered — at
+    /// most `workers`.
     pub queue_depth: usize,
 }
 
-/// Shared across the accept thread, event loop, and workers.
+/// Shared across the accept thread and the workers.
 struct Shared {
     handler: Arc<dyn Handler>,
     config: NetConfig,
     shutdown: AtomicBool,
     /// Parked connections, keyed by token.
     parked: Mutex<HashMap<u64, Conn>>,
-    #[cfg(target_os = "linux")]
-    epoll: crate::sys::Epoll,
+    epoll: Epoll,
     accepted: AtomicU64,
     rejected: AtomicU64,
     open: AtomicUsize,
@@ -191,25 +188,6 @@ enum Served {
     KeepAlive,
     /// Close it (response asked, protocol error, or socket error).
     Close,
-}
-
-/// Holds one unit of worker queue depth for a scope. The portable
-/// fallback uses it to count only in-flight requests (head framed →
-/// response written) — never a parked keep-alive connection idling on
-/// its worker — so idle connections cannot masquerade as queue pressure.
-struct DepthGuard<'a>(&'a AtomicUsize);
-
-impl<'a> DepthGuard<'a> {
-    fn hold(depth: &'a AtomicUsize) -> DepthGuard<'a> {
-        depth.fetch_add(1, Ordering::Relaxed);
-        DepthGuard(depth)
-    }
-}
-
-impl Drop for DepthGuard<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::Relaxed);
-    }
 }
 
 impl Shared {
@@ -246,15 +224,12 @@ impl Shared {
     }
 
     /// Reads + handles exactly one request on `conn`. The caller owns the
-    /// connection for the duration. `track_depth` is set by the portable
-    /// fallback, where no event loop counts dispatched wake-ups: the
-    /// depth is then held here, per in-flight request.
-    fn serve_one(&self, conn: &mut Conn, track_depth: bool) -> Served {
+    /// connection for the duration.
+    fn serve_one(&self, conn: &mut Conn) -> Served {
         let head = match read_request_head(&mut conn.stream, &mut conn.buf, &self.config.limits) {
             Ok(head) => head,
             Err(error) => return self.fail_read(conn, error),
         };
-        let _depth = track_depth.then(|| DepthGuard::hold(&self.depth));
         // Admission: the handler may shed in microseconds what it cannot
         // afford to serve in seconds. Decided on the head alone, so a
         // shed POST never occupies this worker for its body transfer.
@@ -334,6 +309,54 @@ impl Shared {
         Served::KeepAlive
     }
 
+    /// A worker's life: wait on the shared epoll fd for one readiness
+    /// event, serve that connection, re-park it, until shutdown. One
+    /// event per wait: one-shot arming already hands each event to
+    /// exactly one owner, and a worker holding several would leave ready
+    /// connections behind its current request while other workers sleep.
+    fn work(&self) {
+        while !self.shutdown.load(Ordering::SeqCst) {
+            let token = match self.epoll.wait(100) {
+                Ok(Some(event)) => event.data,
+                Ok(None) => continue,
+                Err(_) => break,
+            };
+            // A token may outlive its connection (closed by a racing
+            // error path); missing entries are stale.
+            let conn = self.parked.lock().expect("not poisoned").remove(&token);
+            let Some(mut conn) = conn else { continue };
+            self.depth.fetch_add(1, Ordering::Relaxed);
+            let served = loop {
+                match self.serve_one(&mut conn) {
+                    // Pipelined: the next request is already in
+                    // userspace, epoll would never fire for it.
+                    Served::KeepAlive if !conn.buf.is_empty() => continue,
+                    served => break served,
+                }
+            };
+            // Released before the re-arm: once armed, a closed-loop
+            // client's next request reaches another worker at once and
+            // must not find its previous request still counted. That
+            // worker takes the `parked` lock before its own increment,
+            // which orders this `Relaxed` decrement before it.
+            self.depth.fetch_sub(1, Ordering::Relaxed);
+            match served {
+                Served::Close => self.close_conn(),
+                Served::KeepAlive => {
+                    let fd = conn.stream.as_raw_fd();
+                    self.parked
+                        .lock()
+                        .expect("not poisoned")
+                        .insert(token, conn);
+                    if self.epoll.rearm(fd, token).is_err() {
+                        self.parked.lock().expect("not poisoned").remove(&token);
+                        self.close_conn();
+                    }
+                }
+            }
+        }
+    }
+
     fn close_conn(&self) {
         self.open.fetch_sub(1, Ordering::Relaxed);
     }
@@ -394,8 +417,8 @@ pub struct Server {
 
 impl Server {
     /// Binds `addr` (`"127.0.0.1:0"` picks a free loopback port) and
-    /// starts the accept thread, the event loop, and `config.workers`
-    /// workers. The server runs until [`Server::shutdown`] (or drop).
+    /// starts the accept thread and `config.workers` workers. The server
+    /// runs until [`Server::shutdown`] (or drop).
     pub fn bind(
         addr: impl ToSocketAddrs,
         handler: Arc<dyn Handler>,
@@ -409,8 +432,7 @@ impl Server {
             config,
             shutdown: AtomicBool::new(false),
             parked: Mutex::new(HashMap::new()),
-            #[cfg(target_os = "linux")]
-            epoll: crate::sys::Epoll::new()?,
+            epoll: Epoll::new()?,
             accepted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             open: AtomicUsize::new(0),
@@ -465,17 +487,12 @@ impl Server {
         self.shared.parked.lock().expect("not poisoned").clear();
     }
 
-    #[cfg(target_os = "linux")]
     fn spawn_threads(
         shared: &Arc<Shared>,
         listener: TcpListener,
         workers: usize,
     ) -> std::io::Result<Vec<std::thread::JoinHandle<()>>> {
-        use std::os::fd::AsRawFd;
-
-        let (ready_tx, ready_rx) = mpsc::channel::<u64>();
-        let ready_rx = Arc::new(Mutex::new(ready_rx));
-        let mut threads = Vec::with_capacity(workers + 2);
+        let mut threads = Vec::with_capacity(workers + 1);
 
         // Accept thread: park + arm each connection.
         {
@@ -527,170 +544,14 @@ impl Server {
             );
         }
 
-        // Event loop: translate epoll readiness into ready-queue tokens.
-        {
-            let shared = Arc::clone(shared);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("jqi-net-events".into())
-                    .spawn(move || {
-                        let mut events = Vec::with_capacity(256);
-                        loop {
-                            if shared.shutdown.load(Ordering::SeqCst) {
-                                break;
-                            }
-                            match shared.epoll.wait(&mut events, 100) {
-                                Ok(0) => continue,
-                                Ok(n) => {
-                                    for event in events.iter().take(n) {
-                                        // Copy out of the (possibly packed)
-                                        // event before use.
-                                        let token = { event.data };
-                                        shared.depth.fetch_add(1, Ordering::Relaxed);
-                                        if ready_tx.send(token).is_err() {
-                                            shared.depth.fetch_sub(1, Ordering::Relaxed);
-                                            return;
-                                        }
-                                    }
-                                }
-                                Err(_) => break,
-                            }
-                        }
-                        // ready_tx drops here; workers drain and exit.
-                    })?,
-            );
-        }
-
-        // Workers: one request per wake-up, then re-park + re-arm.
+        // Workers: each waits on the shared epoll fd for one event, serves
+        // that connection, then re-parks + re-arms it.
         for w in 0..workers {
             let shared = Arc::clone(shared);
-            let ready_rx = Arc::clone(&ready_rx);
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("jqi-net-worker-{w}"))
-                    .spawn(move || loop {
-                        let token = {
-                            let rx = ready_rx.lock().expect("not poisoned");
-                            match rx.recv() {
-                                Ok(token) => token,
-                                Err(_) => return,
-                            }
-                        };
-                        // A token may outlive its connection (closed by a
-                        // racing error path); missing entries are stale.
-                        let conn = shared.parked.lock().expect("not poisoned").remove(&token);
-                        let Some(mut conn) = conn else {
-                            shared.depth.fetch_sub(1, Ordering::Relaxed);
-                            continue;
-                        };
-                        loop {
-                            match shared.serve_one(&mut conn, false) {
-                                Served::Close => {
-                                    shared.close_conn();
-                                    break;
-                                }
-                                Served::KeepAlive if !conn.buf.is_empty() => {
-                                    // Pipelined: the next request is already
-                                    // in userspace, epoll would never fire.
-                                    continue;
-                                }
-                                Served::KeepAlive => {
-                                    use std::os::fd::AsRawFd;
-                                    let fd = conn.stream.as_raw_fd();
-                                    shared
-                                        .parked
-                                        .lock()
-                                        .expect("not poisoned")
-                                        .insert(token, conn);
-                                    if shared.epoll.rearm(fd, token).is_err() {
-                                        shared.parked.lock().expect("not poisoned").remove(&token);
-                                        shared.close_conn();
-                                    }
-                                    break;
-                                }
-                            }
-                        }
-                        shared.depth.fetch_sub(1, Ordering::Relaxed);
-                    })?,
-            );
-        }
-        Ok(threads)
-    }
-
-    /// Portable fallback: each accepted connection is owned by one worker
-    /// for its whole keep-alive lifetime (concurrency = pool size).
-    #[cfg(not(target_os = "linux"))]
-    fn spawn_threads(
-        shared: &Arc<Shared>,
-        listener: TcpListener,
-        workers: usize,
-    ) -> std::io::Result<Vec<std::thread::JoinHandle<()>>> {
-        let (conn_tx, conn_rx) = mpsc::channel::<Conn>();
-        let conn_rx = Arc::new(Mutex::new(conn_rx));
-        let mut threads = Vec::with_capacity(workers + 1);
-        {
-            let shared = Arc::clone(shared);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("jqi-net-accept".into())
-                    .spawn(move || {
-                        for incoming in listener.incoming() {
-                            if shared.shutdown.load(Ordering::SeqCst) {
-                                break;
-                            }
-                            let Ok(stream) = incoming else { continue };
-                            shared.accepted.fetch_add(1, Ordering::Relaxed);
-                            if shared.open.load(Ordering::Relaxed) >= shared.config.max_connections
-                            {
-                                shared.rejected.fetch_add(1, Ordering::Relaxed);
-                                continue;
-                            }
-                            let _ = stream.set_nodelay(true);
-                            let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
-                            shared.open.fetch_add(1, Ordering::Relaxed);
-                            if conn_tx
-                                .send(Conn {
-                                    stream,
-                                    buf: Vec::new(),
-                                })
-                                .is_err()
-                            {
-                                break;
-                            }
-                        }
-                    })?,
-            );
-        }
-        for w in 0..workers {
-            let shared = Arc::clone(shared);
-            let conn_rx = Arc::clone(&conn_rx);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("jqi-net-worker-{w}"))
-                    .spawn(move || loop {
-                        let conn = {
-                            let rx = conn_rx.lock().expect("not poisoned");
-                            match rx.recv() {
-                                Ok(conn) => conn,
-                                Err(_) => return,
-                            }
-                        };
-                        let mut conn = conn;
-                        // serve_one holds the queue depth per in-flight
-                        // request (track_depth), so a connection idling
-                        // between keep-alive requests — which occupies
-                        // this worker, but queues no work — never counts
-                        // as pressure.
-                        loop {
-                            if shared.shutdown.load(Ordering::SeqCst) {
-                                break;
-                            }
-                            if matches!(shared.serve_one(&mut conn, true), Served::Close) {
-                                break;
-                            }
-                        }
-                        shared.close_conn();
-                    })?,
+                    .spawn(move || shared.work())?,
             );
         }
         Ok(threads)
@@ -709,15 +570,6 @@ impl std::fmt::Debug for Server {
             .field("local_addr", &self.local_addr)
             .field("stats", &self.stats())
             .finish()
-    }
-}
-
-// Unused-field lint helper: the portable fallback never touches `parked`.
-#[cfg(not(target_os = "linux"))]
-impl Shared {
-    #[allow(dead_code)]
-    fn touch_parked(&self) -> usize {
-        self.parked.lock().expect("not poisoned").len()
     }
 }
 
@@ -842,6 +694,36 @@ mod tests {
         assert_eq!(stats.shed, 1);
         assert_eq!(stats.requests, 1, "shed requests are not counted as served");
         assert_eq!(stats.protocol_errors, 0);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_closed_loop_client_never_counts_twice_in_the_queue_depth() {
+        // The depth unit must be released before the connection is
+        // re-armed: otherwise the client's next request can reach a
+        // second worker while the first still counts the previous one.
+        struct DepthRecorder(AtomicUsize);
+        impl Handler for DepthRecorder {
+            fn handle(&self, _: &Request) -> Response {
+                Response::json(200, "{}".into())
+            }
+            fn admit(&self, _: &RequestHead, pressure: Pressure) -> Admission {
+                self.0.fetch_max(pressure.queue_depth, Ordering::Relaxed);
+                Admission::Accept
+            }
+        }
+        let recorder = Arc::new(DepthRecorder(AtomicUsize::new(0)));
+        let config = NetConfig {
+            workers: 4,
+            ..NetConfig::default()
+        };
+        let mut server = Server::bind("127.0.0.1:0", recorder.clone(), config).unwrap();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        for i in 0..2000 {
+            assert_eq!(client.get(&format!("/r{i}")).unwrap().status, 200);
+        }
+        assert_eq!(recorder.0.load(Ordering::Relaxed), 1);
+        assert_eq!(server.stats().requests, 2000);
         server.shutdown();
     }
 

@@ -7,7 +7,7 @@
 //! directly against the C library the Rust standard library already
 //! links. This module is the only `unsafe` in the crate, and every call
 //! is wrapped in a method that upholds the invariants (`Epoll` owns its
-//! fd; event buffers are sized by the caller's `Vec` capacity).
+//! fd; `wait` hands the kernel room for exactly one event).
 
 #![allow(unsafe_code)]
 
@@ -18,8 +18,8 @@ use std::os::raw::c_int;
 /// Readable readiness.
 pub const EPOLLIN: u32 = 0x001;
 /// One-shot arming: the fd reports at most one event until re-armed with
-/// [`Epoll::rearm`] — the hand-off discipline between the event loop and
-/// the worker pool.
+/// [`Epoll::rearm`], so of the workers waiting on one epoll fd exactly one
+/// owns each readiness event.
 pub const EPOLLONESHOT: u32 = 1 << 30;
 /// Peer hang-up.
 pub const EPOLLHUP: u32 = 0x010;
@@ -132,17 +132,19 @@ impl Epoll {
         self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
     }
 
-    /// Waits up to `timeout_ms` for events, filling `events` up to its
-    /// capacity; returns how many fired. `EINTR` retries internally.
-    pub fn wait(&self, events: &mut Vec<EpollEvent>, timeout_ms: i32) -> io::Result<usize> {
-        let capacity = events.capacity().max(1) as c_int;
-        events.clear();
+    /// Waits up to `timeout_ms` for one event; `None` when none fired.
+    /// `EINTR` retries internally.
+    pub fn wait(&self, timeout_ms: i32) -> io::Result<Option<EpollEvent>> {
+        let mut event = EpollEvent { events: 0, data: 0 };
         loop {
-            let rc = unsafe { epoll_wait(self.fd, events.as_mut_ptr(), capacity, timeout_ms) };
-            if rc >= 0 {
-                // epoll_wait wrote `rc` events into the buffer.
-                unsafe { events.set_len(rc as usize) };
-                return Ok(rc as usize);
+            // SAFETY: `event` is a live, writable `epoll_event` and
+            // `maxevents` is 1, so the kernel writes at most that one entry.
+            let rc = unsafe { epoll_wait(self.fd, &mut event, 1, timeout_ms) };
+            if rc > 0 {
+                return Ok(Some(event));
+            }
+            if rc == 0 {
+                return Ok(None);
             }
             let err = io::Error::last_os_error();
             if err.kind() != io::ErrorKind::Interrupted {
@@ -177,21 +179,19 @@ mod tests {
         let epoll = Epoll::new().unwrap();
         epoll.add(server_side.as_raw_fd(), 42).unwrap();
 
-        let mut events = Vec::with_capacity(8);
         // Nothing readable yet.
-        assert_eq!(epoll.wait(&mut events, 0).unwrap(), 0);
+        assert!(epoll.wait(0).unwrap().is_none());
 
         client.write_all(b"ping").unwrap();
-        assert_eq!(epoll.wait(&mut events, 1000).unwrap(), 1);
-        let fired = events[0];
+        let fired = epoll.wait(1000).unwrap().expect("readable");
         assert_eq!({ fired.data }, 42);
         assert_ne!({ fired.events } & EPOLLIN, 0);
 
         // One-shot: without a rearm the fd stays silent even though the
         // bytes were never read.
-        assert_eq!(epoll.wait(&mut events, 50).unwrap(), 0);
+        assert!(epoll.wait(50).unwrap().is_none());
         epoll.rearm(server_side.as_raw_fd(), 42).unwrap();
-        assert_eq!(epoll.wait(&mut events, 1000).unwrap(), 1);
+        assert!(epoll.wait(1000).unwrap().is_some());
 
         epoll.del(server_side.as_raw_fd()).unwrap();
     }

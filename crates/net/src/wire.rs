@@ -529,7 +529,9 @@ pub fn read_request_body(
     })
 }
 
-/// Writes `response` (status line, headers, framed body) to `stream`.
+/// Writes `response` (status line, headers, framed body) to `stream` with
+/// one `write_all` from one buffer, so on a `TCP_NODELAY` socket the
+/// response leaves as one send and wakes the peer once.
 pub fn write_response(stream: &mut impl Write, response: &Response) -> std::io::Result<()> {
     let mut head = format!(
         "HTTP/1.1 {} {}\r\ncontent-length: {}\r\n",
@@ -547,8 +549,9 @@ pub fn write_response(stream: &mut impl Write, response: &Response) -> std::io::
         head.push_str("connection: close\r\n");
     }
     head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(&response.body)?;
+    let mut message = head.into_bytes();
+    message.extend_from_slice(&response.body);
+    stream.write_all(&message)?;
     stream.flush()
 }
 
@@ -792,6 +795,41 @@ mod tests {
         assert_eq!(parsed.status, 201);
         assert_eq!(parsed.body, b"{\"ok\": true}");
         assert!(!parsed.close);
+    }
+
+    #[test]
+    fn a_response_with_headers_and_body_is_one_write() {
+        struct CountingWriter {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for CountingWriter {
+            fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(data);
+                Ok(data.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut response = Response::json(503, "{\"error\": \"busy\"}".into()).closing();
+        response.headers.push(("retry-after".into(), "3".into()));
+        let mut sink = CountingWriter {
+            writes: 0,
+            bytes: Vec::new(),
+        };
+        write_response(&mut sink, &response).unwrap();
+        assert_eq!(sink.writes, 1, "head and body must leave in one send");
+        let parsed = read_client_response(
+            &mut Cursor::new(sink.bytes),
+            &mut Vec::new(),
+            &Limits::default(),
+        )
+        .unwrap();
+        assert_eq!(parsed.status, 503);
+        assert_eq!(parsed.body, b"{\"error\": \"busy\"}");
+        assert!(parsed.close);
     }
 
     #[test]

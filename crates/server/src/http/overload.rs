@@ -6,8 +6,8 @@
 //! consults the gateway for the *policy* through
 //! [`jqi_net::Handler::admit`]. This module is that policy: endpoint
 //! priority tiers plus thresholds over the two live pressure signals,
-//! the transport's aggregate worker queue depth and the per-endpoint
-//! rolling latency estimate
+//! the transport's queue depth (requests in workers' hands) and the
+//! per-endpoint rolling latency estimate
 //! ([`crate::http::metrics::LatencyHistogram::ewma_us`]).
 //!
 //! Latency-based shedding cannot latch: the rolling estimate only gains
@@ -74,9 +74,10 @@ pub struct OverloadConfig {
 impl Default for OverloadConfig {
     fn default() -> Self {
         OverloadConfig {
-            // Depth is measured in dispatched-but-unfinished wake-ups;
-            // 4×/16× the default 8-worker pool leaves headroom for
-            // bursts while bounding the queue a request waits behind.
+            // Depth counts requests a worker has taken and not yet
+            // answered, so it never exceeds the worker count: with ≤ 32
+            // workers these queue thresholds cannot fire, and by default
+            // only the latency thresholds shed.
             queue_soft: 32,
             queue_hard: 128,
             latency_soft_us: 250_000,
