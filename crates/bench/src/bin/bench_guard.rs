@@ -1,7 +1,7 @@
 //! CI regression guard over the bench JSON reports.
 //!
 //! ```text
-//! bench_guard --kind server|scaling --fresh PATH --baseline PATH [--factor F]
+//! bench_guard --kind server|scaling|perfbench --fresh PATH --baseline PATH [--factor F]
 //! ```
 //!
 //! Compares a freshly generated (tiny, CI-sized) bench report against the
@@ -20,11 +20,8 @@
 //!   `overhead_group_x` (the in-memory/WAL-on throughput ratio) against
 //!   an **absolute** ceiling of `factor` (WAL-on interactive throughput
 //!   must stay within 3x of in-memory on any machine), and recovery
-//!   `sessions_per_sec` as a floor. When the baseline carries a
-//!   `transport` block (PR 8+), the HTTP request `mean_us` is guarded
-//!   like the other latencies, `open_connections_peak` must not shrink,
-//!   and `protocol_errors` must be zero. When it carries an `overload`
-//!   block (PR 9+), shed `mean_us` and the accepted `p99_ratio` are
+//!   `sessions_per_sec` as a floor. When the baseline carries an
+//!   `overload` block, shed `mean_us` and the accepted `p99_ratio` are
 //!   held `at_most`, `goodput_per_sec` must not shrink, and `wedged` /
 //!   `protocol_errors` / `client_errors` must be zero at any factor.
 //! * `--kind scaling` — per dataset point matched **by name**,
@@ -38,6 +35,13 @@
 //!   `baseline / factor`. Points present on only one side are skipped
 //!   (sweeps may grow, and baselines older than a phase lack its block),
 //!   but zero matched points is an error.
+//! * `--kind perfbench` — both files hold perfbench output, of which the
+//!   last line is read (the benchmark's one-JSON-object contract). The
+//!   fresh run must be `"correct": true`, and `question_p50_us` /
+//!   `answer_p50_us` must not exceed `baseline · factor`. CI feeds it a
+//!   short `crowd` run against `ci/bench_baseline_perfbench_crowd.json`:
+//!   HTTP request latency through `jqi_net` and the gateway, measured
+//!   per window by the repo's benchmark.
 
 use jqi_server::json::Json;
 use std::process::ExitCode;
@@ -50,7 +54,7 @@ struct Args {
 }
 
 const USAGE: &str =
-    "usage: bench_guard --kind server|scaling --fresh PATH --baseline PATH [--factor F]";
+    "usage: bench_guard --kind server|scaling|perfbench --fresh PATH --baseline PATH [--factor F]";
 
 fn parse_args() -> Result<Args, String> {
     let (mut kind, mut fresh, mut baseline) = (None, None, None);
@@ -78,9 +82,19 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
-fn load(path: &str) -> Result<Json, String> {
+/// Parses the report at `path`: the whole file, or with `last_line` its
+/// last non-empty line.
+fn load(path: &str, last_line: bool) -> Result<Json, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    Json::parse(&text).map_err(|e| format!("cannot parse {path}: {e}"))
+    let text = if last_line {
+        text.lines()
+            .rev()
+            .find(|l| !l.trim().is_empty())
+            .unwrap_or("")
+    } else {
+        &text
+    };
+    Json::parse(text).map_err(|e| format!("cannot parse {path}: {e}"))
 }
 
 /// Collects guard violations instead of failing fast, so one CI run shows
@@ -198,40 +212,6 @@ fn guard_server(guard: &mut Guard, fresh: &Json, baseline: &Json) -> Result<(), 
     let b = num(baseline, &["durability", "recovery", "sessions_per_sec"])
         .ok_or("baseline lacks recovery sessions_per_sec")?;
     guard.at_least("durability recovery sessions_per_sec", f, b);
-    // Transport phase: guarded only when the committed baseline carries
-    // it (older baselines predate the HTTP gateway — the skip-if-absent
-    // posture the scaling guard uses for grown sweeps). The fresh report
-    // must carry it once the baseline does.
-    if baseline.get("transport").is_some() {
-        let f = num(fresh, &["transport", "request_latency", "mean_us"])
-            .ok_or("fresh report lacks transport request mean_us")?;
-        let b = num(baseline, &["transport", "request_latency", "mean_us"])
-            .ok_or("baseline lacks transport request mean_us")?;
-        guard.at_most("transport request mean_us", f, b);
-        // Concurrency coverage is machine-independent: the fresh run must
-        // hold open at least as many connections as the baseline did.
-        let f = num(fresh, &["transport", "open_connections_peak"])
-            .ok_or("fresh report lacks transport open_connections_peak")?;
-        let b = num(baseline, &["transport", "open_connections_peak"])
-            .ok_or("baseline lacks transport open_connections_peak")?;
-        if f < b {
-            guard.violations.push(format!(
-                "transport open_connections_peak: {f:.0} below baseline {b:.0} \
-                 (concurrency coverage must not shrink)"
-            ));
-        }
-        guard.checked += 1;
-        // The wire must be clean: any protocol error in the fresh run is
-        // a regression regardless of factor.
-        let f = num(fresh, &["transport", "protocol_errors"])
-            .ok_or("fresh report lacks transport protocol_errors")?;
-        if f > 0.0 {
-            guard
-                .violations
-                .push(format!("transport protocol_errors: {f:.0} (must be 0)"));
-        }
-        guard.checked += 1;
-    }
     // Overload phase: guarded only when the baseline carries it (older
     // baselines predate the load shedder). Shed responses must stay
     // fast, goodput under overload must not shrink, the accepted-p99
@@ -353,6 +333,23 @@ fn guard_scaling(guard: &mut Guard, fresh: &Json, baseline: &Json) -> Result<(),
     Ok(())
 }
 
+fn guard_perfbench(guard: &mut Guard, fresh: &Json, baseline: &Json) -> Result<(), String> {
+    if fresh.get("correct") != Some(&Json::Bool(true)) {
+        guard
+            .violations
+            .push("perfbench correct: not true (a check or an operation failed)".into());
+    }
+    guard.checked += 1;
+    for metric in ["question_p50_us", "answer_p50_us"] {
+        let f =
+            num(fresh, &["metrics", metric, "value"]).ok_or(format!("fresh run lacks {metric}"))?;
+        let b = num(baseline, &["metrics", metric, "value"])
+            .ok_or(format!("baseline lacks {metric}"))?;
+        guard.at_most(&format!("perfbench {metric}"), f, b);
+    }
+    Ok(())
+}
+
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -362,12 +359,14 @@ fn main() -> ExitCode {
         }
     };
     let run = || -> Result<Guard, String> {
-        let fresh = load(&args.fresh)?;
-        let baseline = load(&args.baseline)?;
+        let last_line = args.kind == "perfbench";
+        let fresh = load(&args.fresh, last_line)?;
+        let baseline = load(&args.baseline, last_line)?;
         let mut guard = Guard::new(args.factor);
         match args.kind.as_str() {
             "server" => guard_server(&mut guard, &fresh, &baseline)?,
             "scaling" => guard_scaling(&mut guard, &fresh, &baseline)?,
+            "perfbench" => guard_perfbench(&mut guard, &fresh, &baseline)?,
             other => return Err(format!("unknown --kind {other:?}")),
         }
         Ok(guard)

@@ -15,7 +15,8 @@
 //!   to 10⁸ tuples (`BENCH_scaling.json`).
 //! * [`throughput`] — the `jqi_server` service under concurrent load:
 //!   per-answer latency across M threads × K live sessions, batch
-//!   answering, and snapshot/restore round-trips (`BENCH_server.json`).
+//!   answering, the decision-cache fleet, hibernation, durability and
+//!   load shedding (`BENCH_server.json`).
 //! * [`semijoin_exp`] — §6 / Theorem 6.1: the CONS⋉ solver against DPLL on
 //!   random 3SAT reductions.
 //! * [`optgap`] — worst cases of the deterministic heuristics against the

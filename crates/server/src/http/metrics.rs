@@ -1,22 +1,52 @@
-//! Live per-endpoint latency histograms for `GET /v1/stats`.
+//! Latency histograms: the live per-endpoint metrics of `GET /v1/stats`,
+//! and the one latency summary the offline bench reports use too.
 //!
-//! The offline bench reports (`jqi_bench::throughput`) summarize latency
-//! as `{count, mean_us, p50_us, p95_us, p99_us, max_us}`; the gateway
-//! exposes the same shape as a *live* metric, computed from a lock-free
-//! log₂-bucketed histogram instead of a recorded sample vector. Recording
-//! is a handful of relaxed atomic adds on the request path; quantiles are
-//! read back from bucket upper bounds, so `p99_us` is exact to within one
-//! power-of-two bucket — the right trade for a counter that every request
-//! touches.
+//! [`LatencyHistogram`] is lock-free and log-linear: each power-of-two
+//! octave of nanoseconds is split into 32 equal sub-buckets, so a bucket
+//! spans at most 1/32 (about 3 %) of the values it holds. Recording is a
+//! handful of relaxed atomic adds on the request path. A quantile is
+//! located in its bucket, interpolated across it, and clamped to the
+//! recorded maximum, so it lies within one bucket width of the exact
+//! nearest-rank sample and never above `max_us`. [`LatencySummary`] is
+//! the shape both the gateway and `jqi_bench::throughput` report:
+//! `{count, mean_us, p50_us, p95_us, p99_us, max_us}`.
 
 use crate::json::Json;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-/// One power-of-two bucket per `floor(log2(nanos))`; 48 buckets cover
-/// sub-nanosecond through ~78 hours.
-const BUCKETS: usize = 48;
+/// Sub-buckets per octave, as a power of two (2^5 = 32).
+const SUB_BITS: u32 = 5;
+const SUB_BUCKETS: u64 = 1 << SUB_BITS;
+/// Values below 2^40 ns (about 18 minutes) get their own bucket; larger
+/// ones share the last bucket (their quantiles are still clamped to the
+/// recorded maximum).
+const MAX_BITS: u32 = 40;
+/// Values below [`SUB_BUCKETS`] ns have one bucket each; every octave
+/// above has [`SUB_BUCKETS`].
+const BUCKETS: usize = ((MAX_BITS - SUB_BITS + 1) as usize) << SUB_BITS;
+
+/// The bucket holding `ns`.
+fn bucket_of(ns: u64) -> usize {
+    let ns = ns.min((1 << MAX_BITS) - 1);
+    if ns < SUB_BUCKETS {
+        return ns as usize;
+    }
+    let octave = 63 - ns.leading_zeros();
+    let sub = (ns >> (octave - SUB_BITS)) & (SUB_BUCKETS - 1);
+    ((((octave - SUB_BITS + 1) as u64) << SUB_BITS) | sub) as usize
+}
+
+/// Bucket `i`'s lower bound and width, in ns.
+fn bucket_span(i: usize) -> (u64, u64) {
+    let i = i as u64;
+    if i < SUB_BUCKETS {
+        return (i, 1);
+    }
+    let shift = (i >> SUB_BITS) as u32 - 1;
+    ((SUB_BUCKETS | (i & (SUB_BUCKETS - 1))) << shift, 1 << shift)
+}
 
 /// Half-life of the rolling latency estimate while *no* samples arrive:
 /// the stored EWMA is halved per this much wall-clock silence when read.
@@ -54,10 +84,45 @@ fn decayed(ewma_ns: u64, elapsed_ns: u64) -> u64 {
     base - ((u128::from(base / 2) * u128::from(frac)) / u128::from(EWMA_HALF_LIFE_NS)) as u64
 }
 
-/// A concurrent latency histogram with log₂ buckets.
+/// A latency distribution in microseconds — what `GET /v1/stats` serves
+/// per endpoint and what the bench reports carry per phase.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LatencySummary {
+    /// Number of samples.
+    pub count: u64,
+    /// Arithmetic mean (exact).
+    pub mean_us: f64,
+    /// Median.
+    pub p50_us: f64,
+    /// 95th percentile.
+    pub p95_us: f64,
+    /// 99th percentile.
+    pub p99_us: f64,
+    /// Maximum (exact).
+    pub max_us: f64,
+}
+
+impl LatencySummary {
+    fn fields(&self) -> Vec<(String, Json)> {
+        vec![
+            ("count".into(), Json::num(self.count as f64)),
+            ("mean_us".into(), Json::Num(self.mean_us)),
+            ("p50_us".into(), Json::Num(self.p50_us)),
+            ("p95_us".into(), Json::Num(self.p95_us)),
+            ("p99_us".into(), Json::Num(self.p99_us)),
+            ("max_us".into(), Json::Num(self.max_us)),
+        ]
+    }
+
+    /// `{count, mean_us, p50_us, p95_us, p99_us, max_us}`.
+    pub fn to_json(&self) -> Json {
+        Json::Obj(self.fields())
+    }
+}
+
+/// A concurrent log-linear latency histogram (see the module docs).
 #[derive(Debug)]
 pub struct LatencyHistogram {
-    count: AtomicU64,
     total_ns: AtomicU64,
     max_ns: AtomicU64,
     /// Rolling estimate (EWMA, α = 1/8) of recent latency — the signal
@@ -67,18 +132,17 @@ pub struct LatencyHistogram {
     ewma_ns: AtomicU64,
     /// [`monotonic_ns`] timestamp of the last EWMA update.
     ewma_at_ns: AtomicU64,
-    buckets: [AtomicU64; BUCKETS],
+    buckets: Box<[AtomicU64]>,
 }
 
 impl Default for LatencyHistogram {
     fn default() -> Self {
         LatencyHistogram {
-            count: AtomicU64::new(0),
             total_ns: AtomicU64::new(0),
             max_ns: AtomicU64::new(0),
             ewma_ns: AtomicU64::new(0),
             ewma_at_ns: AtomicU64::new(0),
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            buckets: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 }
@@ -92,7 +156,6 @@ impl LatencyHistogram {
     /// Records one sample.
     pub fn record(&self, elapsed: Duration) {
         let ns = elapsed.as_nanos().min(u128::from(u64::MAX)) as u64;
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.total_ns.fetch_add(ns, Ordering::Relaxed);
         self.max_ns.fetch_max(ns, Ordering::Relaxed);
         let now = monotonic_ns();
@@ -103,13 +166,20 @@ impl LatencyHistogram {
         let new = if old == 0 { ns } else { old - old / 8 + ns / 8 };
         self.ewma_ns.store(new, Ordering::Relaxed);
         self.ewma_at_ns.store(now, Ordering::Relaxed);
-        let bucket = (64 - ns.max(1).leading_zeros() as usize - 1).min(BUCKETS - 1);
-        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
+        self.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Samples recorded so far.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+    /// Adds `other`'s samples to `self`, which then summarizes as if
+    /// every sample of both had been recorded into it. The rolling
+    /// estimate stays `self`'s own: it describes one live stream.
+    pub fn merge(&self, other: &LatencyHistogram) {
+        self.total_ns
+            .fetch_add(other.total_ns.load(Ordering::Relaxed), Ordering::Relaxed);
+        self.max_ns
+            .fetch_max(other.max_ns.load(Ordering::Relaxed), Ordering::Relaxed);
+        for (mine, theirs) in self.buckets.iter().zip(other.buckets.iter()) {
+            mine.fetch_add(theirs.load(Ordering::Relaxed), Ordering::Relaxed);
+        }
     }
 
     /// The rolling latency estimate in microseconds (0 before any
@@ -123,55 +193,53 @@ impl LatencyHistogram {
         decayed(ewma, monotonic_ns().saturating_sub(at)) / 1_000
     }
 
-    /// The latency at quantile `q` (0..=1), read from bucket upper
-    /// bounds; `None` when no samples were recorded.
-    fn quantile_ns(&self, counts: &[u64; BUCKETS], total: u64, q: f64) -> Option<u64> {
-        if total == 0 {
+    /// The summary of every sample recorded so far; `None` when there
+    /// are none.
+    pub fn summary(&self) -> Option<LatencySummary> {
+        let counts: Vec<u64> = self
+            .buckets
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect();
+        let count: u64 = counts.iter().sum();
+        if count == 0 {
             return None;
         }
-        let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
-        let mut seen = 0u64;
-        for (i, &c) in counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                // Upper bound of bucket i: 2^(i+1) - 1 ns.
-                return Some((1u64 << (i + 1)) - 1);
+        let max_ns = self.max_ns.load(Ordering::Relaxed) as f64;
+        // The sample a sorted vector would index at `round(q·(n−1))`,
+        // placed in its bucket by its rank among the bucket's samples.
+        let quantile_us = |q: f64| {
+            let rank = (q * (count - 1) as f64).round() as u64;
+            let mut before = 0u64;
+            for (i, &c) in counts.iter().enumerate() {
+                if rank < before + c {
+                    let (lo, width) = bucket_span(i);
+                    let within = ((rank - before) as f64 + 0.5) / c as f64;
+                    return (lo as f64 + width as f64 * within).min(max_ns) / 1e3;
+                }
+                before += c;
             }
-        }
-        Some(self.max_ns.load(Ordering::Relaxed))
+            max_ns / 1e3
+        };
+        Some(LatencySummary {
+            count,
+            mean_us: self.total_ns.load(Ordering::Relaxed) as f64 / count as f64 / 1e3,
+            p50_us: quantile_us(0.50),
+            p95_us: quantile_us(0.95),
+            p99_us: quantile_us(0.99),
+            max_us: max_ns / 1e3,
+        })
     }
 
-    /// The live summary in the bench-report shape:
-    /// `{count, mean_us, p50_us, p95_us, p99_us, max_us}` — or
-    /// `Json::Null` when nothing was recorded yet.
+    /// The live summary as served by `GET /v1/stats`: the
+    /// [`LatencySummary`] fields plus `ewma_us` — or `Json::Null` when
+    /// nothing was recorded yet.
     pub fn summary_json(&self) -> Json {
-        let total = self.count.load(Ordering::Relaxed);
-        if total == 0 {
-            return Json::Null;
-        }
-        let mut counts = [0u64; BUCKETS];
-        for (slot, bucket) in counts.iter_mut().zip(&self.buckets) {
-            *slot = bucket.load(Ordering::Relaxed);
-        }
-        let snapshot_total: u64 = counts.iter().sum();
-        let to_us = |ns: u64| ns as f64 / 1e3;
-        let mean_us = self.total_ns.load(Ordering::Relaxed) as f64 / total as f64 / 1e3;
-        let q = |quant: f64| {
-            self.quantile_ns(&counts, snapshot_total, quant)
-                .map_or(Json::Null, |ns| Json::Num(to_us(ns)))
-        };
-        Json::Obj(vec![
-            ("count".into(), Json::num(total as f64)),
-            ("mean_us".into(), Json::Num(mean_us)),
-            ("p50_us".into(), q(0.50)),
-            ("p95_us".into(), q(0.95)),
-            ("p99_us".into(), q(0.99)),
-            (
-                "max_us".into(),
-                Json::Num(to_us(self.max_ns.load(Ordering::Relaxed))),
-            ),
-            ("ewma_us".into(), Json::num(self.ewma_us() as f64)),
-        ])
+        self.summary().map_or(Json::Null, |summary| {
+            let mut fields = summary.fields();
+            fields.push(("ewma_us".into(), Json::num(self.ewma_us() as f64)));
+            Json::Obj(fields)
+        })
     }
 }
 
@@ -231,31 +299,125 @@ impl GatewayMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn empty_histogram_summarizes_to_null() {
+        assert_eq!(LatencyHistogram::new().summary(), None);
         assert_eq!(LatencyHistogram::new().summary_json(), Json::Null);
+    }
+
+    #[test]
+    fn buckets_tile_the_range_at_about_three_percent() {
+        let mut next = 0;
+        for i in 0..BUCKETS {
+            let (lo, width) = bucket_span(i);
+            assert_eq!(lo, next, "bucket {i} leaves a gap");
+            assert_eq!(bucket_of(lo), i);
+            assert_eq!(bucket_of(lo + width - 1), i);
+            assert!(lo < SUB_BUCKETS || width * SUB_BUCKETS <= lo, "bucket {i}");
+            next = lo + width;
+        }
+        assert_eq!(next, 1 << MAX_BITS);
+        assert_eq!(bucket_of(u64::MAX), BUCKETS - 1);
     }
 
     #[test]
     fn quantiles_track_bucket_upper_bounds() {
         let h = LatencyHistogram::new();
         for _ in 0..99 {
-            h.record(Duration::from_micros(10)); // bucket of 10_000 ns
+            h.record(Duration::from_micros(10));
         }
         h.record(Duration::from_millis(10)); // one slow outlier
         let summary = h.summary_json();
         let get = |k: &str| summary.get(k).and_then(Json::as_num).unwrap();
         assert_eq!(get("count"), 100.0);
-        // p50 within one power-of-two of 10 µs.
-        assert!(
-            get("p50_us") >= 10.0 && get("p50_us") <= 20.0,
-            "{summary:?}"
-        );
-        // p99 still in the fast buckets; max sees the outlier exactly.
-        assert!(get("p99_us") <= 20.0);
-        assert!((get("max_us") - 10_000.0).abs() < 1.0);
+        // p50 and p99 within one bucket width (256 ns) of 10 µs: the
+        // outlier does not reach p99 of 100 samples.
+        let width_us = bucket_span(bucket_of(10_000)).1 as f64 / 1e3;
+        assert!(width_us <= 0.32, "{width_us}");
+        for key in ["p50_us", "p95_us", "p99_us"] {
+            assert!((get(key) - 10.0).abs() <= width_us, "{key}: {summary:?}");
+        }
+        // max sees the outlier exactly.
+        assert_eq!(get("max_us"), 10_000.0);
         assert!(get("mean_us") > 10.0 && get("mean_us") < 200.0);
+    }
+
+    #[test]
+    fn stats_quantiles_never_exceed_max_nor_fall_below_the_smallest_bucket() {
+        // With log₂ buckets, one hundred 10 µs samples reported p50 as the
+        // bucket's upper bound, 16.383 µs, above their 10 µs maximum.
+        let m = GatewayMetrics::new();
+        for _ in 0..100 {
+            m.question.record(Duration::from_micros(10));
+        }
+        let json = m.to_json();
+        let summary = json.get("question").expect("recorded endpoint");
+        let get = |k: &str| summary.get(k).and_then(Json::as_num).unwrap();
+        assert_eq!(get("max_us"), 10.0);
+        let floor_us = bucket_span(bucket_of(10_000)).0 as f64 / 1e3;
+        for key in ["p50_us", "p95_us", "p99_us"] {
+            assert!(get(key) <= get("max_us"), "{key}: {summary:?}");
+            assert!(get(key) >= floor_us, "{key}: {summary:?}");
+        }
+    }
+
+    /// What the bench reported before the histogram: the sample at
+    /// nearest rank `round(q·(n−1))` of the sorted samples, in ns.
+    fn exact_quantile_ns(sorted: &[u64], q: f64) -> u64 {
+        sorted[((sorted.len() - 1) as f64 * q).round() as usize]
+    }
+
+    /// A log-uniform sample: `mantissa · 2^exponent` ns, up to ~4.6 min.
+    fn spread((exponent, mantissa): (u32, u64)) -> u64 {
+        mantissa << exponent
+    }
+
+    proptest! {
+        #[test]
+        fn summary_matches_exact_quantiles_within_one_bucket(
+            shape in 0u8..3,
+            repeat in 1usize..300,
+            raw in prop::collection::vec((0u32..29, 0u64..1024), 1..300),
+        ) {
+            let samples: Vec<u64> = match shape {
+                0 => vec![spread(raw[0])],
+                1 => vec![spread(raw[0]); repeat],
+                _ => raw.iter().copied().map(spread).collect(),
+            };
+            let whole = LatencyHistogram::new();
+            // Three per-thread histograms merged must equal the one that
+            // recorded everything.
+            let parts: Vec<LatencyHistogram> = (0..3).map(|_| LatencyHistogram::new()).collect();
+            for (k, &ns) in samples.iter().enumerate() {
+                whole.record(Duration::from_nanos(ns));
+                parts[k % 3].record(Duration::from_nanos(ns));
+            }
+            let merged = LatencyHistogram::new();
+            for part in &parts {
+                merged.merge(part);
+            }
+            let summary = whole.summary().expect("samples recorded");
+            prop_assert_eq!(merged.summary(), Some(summary));
+
+            let mut sorted = samples.clone();
+            sorted.sort_unstable();
+            let n = sorted.len() as u64;
+            prop_assert_eq!(summary.count, n);
+            prop_assert_eq!(summary.mean_us, sorted.iter().sum::<u64>() as f64 / n as f64 / 1e3);
+            prop_assert_eq!(summary.max_us, sorted[sorted.len() - 1] as f64 / 1e3);
+            for (q, got_us) in [(0.50, summary.p50_us), (0.95, summary.p95_us), (0.99, summary.p99_us)] {
+                let exact = exact_quantile_ns(&sorted, q);
+                let width = bucket_span(bucket_of(exact)).1 as f64;
+                let got = got_us * 1e3;
+                prop_assert!(
+                    (got - exact as f64).abs() <= width,
+                    "q{q}: {got} ns vs exact {exact} ns (bucket width {width})"
+                );
+                prop_assert!(got_us <= summary.max_us, "q{q} above max: {summary:?}");
+            }
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub mod overload;
 pub mod registry;
 
 pub use gateway::{manager_stats_json, Gateway, MAX_ANSWER_BATCH};
-pub use metrics::{GatewayMetrics, LatencyHistogram};
+pub use metrics::{GatewayMetrics, LatencyHistogram, LatencySummary};
 pub use overload::{classify, EndpointClass, OverloadConfig};
 pub use registry::{valid_universe_id, RegistryError, UniverseEntry, UniverseRegistry};
 
